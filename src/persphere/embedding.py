@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ParseError
@@ -85,9 +87,12 @@ def read_series(path, channel: int | None = None) -> np.ndarray:
                     )
                 raw = fields[channel]
             try:
-                rows.append(float(raw))
+                value = float(raw)
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: not a number: {raw!r}") from exc
+            if not math.isfinite(value):
+                raise ParseError(f"{path}:{lineno}: non-finite value {raw!r}")
+            rows.append(value)
     if not rows:
         raise ParseError(f"{path}: no samples found")
     return np.asarray(rows, dtype=float)
@@ -110,9 +115,12 @@ def read_cloud(path) -> np.ndarray:
                     f"{path}:{lineno}: expected {width} columns, got {len(fields)}"
                 )
             try:
-                rows.append([float(f) for f in fields])
+                row = [float(f) for f in fields]
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: not a number row: {line!r}") from exc
+            if not all(map(math.isfinite, row)):
+                raise ParseError(f"{path}:{lineno}: non-finite value in row {line!r}")
+            rows.append(row)
     if not rows:
         raise ParseError(f"{path}: no points found")
     return np.asarray(rows, dtype=float)

@@ -1,13 +1,18 @@
 """Vietoris-Rips persistence of point clouds.
 
-Builds filtrations up to triangles (optionally with temporal one-skeleton
-links), computes H0/H1 diagrams by boundary-matrix column reduction over
-Z/2, provides a union-find fast path for H0, and rescales diagrams to the
-unit square.
+`diagram_of_cloud` computes H0/H1 diagrams of a cloud's Rips filtration
+(optionally with temporal one-skeleton links) by union-find and persistent
+cohomology with clearing, without listing triangles. `build_rips` and
+`compute_persistence` build the filtration up to triangles and reduce its
+boundary matrix over Z/2; they are the reference the engine is tested
+against. Also: a union-find H0 over all pairwise edges, rescaling of
+diagrams to the unit square, and the diagram CSV format.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,30 +37,7 @@ class Filtration:
 
     def validate(self) -> None:
         """Raise FiltrationError if ordering, faces, or births are malformed."""
-        position: dict[tuple[int, ...], int] = {}
-        prev_key = None
-        for idx, (verts, birth) in enumerate(self.simplices):
-            if len(verts) < 1 or len(verts) > 3:
-                raise FiltrationError(f"simplex {verts} has unsupported dimension")
-            if any(verts[i] >= verts[i + 1] for i in range(len(verts) - 1)):
-                raise FiltrationError(f"simplex {verts} is not strictly increasing")
-            if not np.isfinite(birth) or birth < 0:
-                raise FiltrationError(f"simplex {verts} has invalid birth {birth}")
-            key = (birth, len(verts), verts)
-            if prev_key is not None and key < prev_key:
-                raise FiltrationError(f"simplices out of order at index {idx}")
-            prev_key = key
-            for face in _faces(verts):
-                fpos = position.get(face)
-                if fpos is None:
-                    raise FiltrationError(f"face {face} of {verts} is missing")
-                if self.simplices[fpos][1] > birth:
-                    raise FiltrationError(
-                        f"face {face} born after its coface {verts}"
-                    )
-            if verts in position:
-                raise FiltrationError(f"duplicate simplex {verts}")
-            position[verts] = idx
+        _index_simplices(self.simplices)
 
 
 @dataclass
@@ -110,6 +92,47 @@ def _faces(verts: tuple[int, ...]):
     return ()
 
 
+def _index_simplices(simplices):
+    """
+    Check the filtration contract and index the simplices by dimension.
+
+    Returns (by_dim, births, rank): per dimension, the vertex tuples and
+    births in filtration order, and for every simplex its position within
+    its dimension. Raises FiltrationError on an unsupported dimension,
+    vertices that are not strictly increasing, a negative or non-finite
+    birth, simplices out of (birth, dim, vertices) order, a missing face, a
+    face born after its coface, or a duplicate simplex.
+    """
+    by_dim: tuple[list, list, list] = ([], [], [])
+    births: tuple[list[float], ...] = ([], [], [])
+    rank: dict[tuple[int, ...], int] = {}
+    prev_key = None
+    for idx, (verts, birth) in enumerate(simplices):
+        d = len(verts) - 1
+        if not 0 <= d <= 2:
+            raise FiltrationError(f"simplex {verts} has unsupported dimension")
+        if d and (verts[0] >= verts[1] or d == 2 and verts[1] >= verts[2]):
+            raise FiltrationError(f"simplex {verts} is not strictly increasing")
+        if not math.isfinite(birth) or birth < 0:
+            raise FiltrationError(f"simplex {verts} has invalid birth {birth}")
+        key = (birth, d + 1, verts)
+        if prev_key is not None and key < prev_key:
+            raise FiltrationError(f"simplices out of order at index {idx}")
+        prev_key = key
+        for face in _faces(verts):
+            fpos = rank.get(face)
+            if fpos is None:
+                raise FiltrationError(f"face {face} of {verts} is missing")
+            if births[d - 1][fpos] > birth:
+                raise FiltrationError(f"face {face} born after its coface {verts}")
+        if verts in rank:
+            raise FiltrationError(f"duplicate simplex {verts}")
+        rank[verts] = len(by_dim[d])
+        by_dim[d].append(verts)
+        births[d].append(birth)
+    return by_dim, births, rank
+
+
 def _as_cloud(cloud) -> np.ndarray:
     pts = np.asarray(cloud, dtype=float)
     if pts.ndim == 1:
@@ -124,6 +147,11 @@ def _as_cloud(cloud) -> np.ndarray:
 def _distance_matrix(pts: np.ndarray) -> np.ndarray:
     diff = pts[:, None, :] - pts[None, :, :]
     return np.sqrt((diff * diff).sum(axis=-1))
+
+
+def _check_scale(max_scale) -> None:
+    if not np.isfinite(max_scale) or max_scale <= 0:
+        raise ValueError(f"max_scale must be positive and finite, got {max_scale}")
 
 
 def cloud_diameter(cloud) -> float:
@@ -152,8 +180,7 @@ def build_rips(cloud, max_scale: float, temporal_links: bool = False) -> Filtrat
         Insert zero-birth edges between consecutive rows.
     """
     pts = _as_cloud(cloud)
-    if not np.isfinite(max_scale) or max_scale <= 0:
-        raise ValueError(f"max_scale must be positive and finite, got {max_scale}")
+    _check_scale(max_scale)
     n = pts.shape[0]
     dist = _distance_matrix(pts)
 
@@ -213,38 +240,16 @@ def compute_persistence(filtration: Filtration) -> tuple[PersistenceDiagram, Per
     Standard Z/2 boundary-matrix reduction of a filtration.
 
     Returns the H0 and H1 diagrams. Zero-persistence pairs are discarded;
-    classes that never die are reported as essential births. Ordering,
-    missing-face, and birth-monotonicity violations raise FiltrationError.
+    classes that never die are reported as essential births. A filtration
+    that breaks the contract `Filtration.validate` checks raises
+    FiltrationError.
 
     Columns of different dimensions never interact in the reduction, so
     the edge block (vertex rows, H0) and the triangle block (edge rows,
     H1) are processed independently with per-dimension row numbering;
     this is the textbook algorithm, with columns materialized lazily.
     """
-    by_dim: tuple[list, list, list] = ([], [], [])
-    births: tuple[list[float], ...] = ([], [], [])
-    rank: dict[tuple[int, ...], int] = {}
-    prev_key = None
-    for verts, birth in filtration.simplices:
-        d = len(verts) - 1
-        if not 0 <= d <= 2:
-            raise FiltrationError(f"simplex {verts} has unsupported dimension")
-        key = (birth, d + 1, verts)
-        if prev_key is not None and key < prev_key:
-            raise FiltrationError(f"simplices out of order at {verts}")
-        prev_key = key
-        for face in _faces(verts):
-            fpos = rank.get(face)
-            if fpos is None:
-                raise FiltrationError(f"face {face} of {verts} is missing")
-            if births[d - 1][fpos] > birth:
-                raise FiltrationError(f"face {face} born after its coface {verts}")
-        if d < 2:
-            if verts in rank:
-                raise FiltrationError(f"duplicate simplex {verts}")
-            rank[verts] = len(by_dim[d])
-        by_dim[d].append(verts)
-        births[d].append(birth)
+    by_dim, births, rank = _index_simplices(filtration.simplices)
 
     def edge_columns():
         for verts in by_dim[1]:
@@ -365,18 +370,174 @@ def diagram_of_cloud(
     cloud, max_scale: float | None = None, temporal_links: bool = False
 ) -> tuple[PersistenceDiagram, PersistenceDiagram]:
     """
-    Convenience pipeline: Rips filtration of the cloud, then its H0/H1.
+    H0/H1 diagrams of the cloud's Rips filtration, by a direct engine.
 
-    When `max_scale` is omitted the cloud diameter is used, which makes
-    every H0 merge and every H1 death visible (at full scale the complex
-    contains all edges and triangles).
+    The result equals `compute_persistence(build_rips(cloud, max_scale,
+    temporal_links))`, pair for pair and in the same order; that reduction
+    stays the reference. When `max_scale` is omitted the cloud diameter is
+    used, which makes every H0 merge and every H1 death visible.
+
+    The engine never builds the filtration list. It computes the distance
+    matrix once and cuts the filtration at min(max_scale, enclosing
+    radius), the enclosing radius being the smallest row maximum of the
+    edge births: from there on one vertex is joined to every other, the
+    flag complex is a cone, and every pair born later has zero persistence.
+    H0 comes from union-find over the edges in (birth, i, j) order. H1
+    comes from reducing coboundary columns over Z/2 (persistent cohomology
+    has the same pairs as homology), walking the edges in reverse
+    filtration order with each column's pivot its earliest coface. The
+    edges that merge H0 components are cleared, i.e. skipped; a column
+    whose pivot is still unclaimed is paired at once, and full columns are
+    built only when pivots collide.
     """
     pts = _as_cloud(cloud)
+    n = pts.shape[0]
+    dist = _distance_matrix(pts)
     if max_scale is None:
-        max_scale = cloud_diameter(pts)
+        max_scale = float(dist.max())
         if max_scale <= 0:
             max_scale = 1.0
-    return compute_persistence(build_rips(pts, max_scale, temporal_links))
+    _check_scale(max_scale)
+    if temporal_links and n > 1:
+        steps = np.arange(n - 1)
+        dist[steps, steps + 1] = 0.0
+        dist[steps + 1, steps] = 0.0
+    scale = min(max_scale, float(dist.max(axis=1).min()))
+    iu, ju = np.triu_indices(n, 1)
+    weights = dist[iu, ju]
+    kept = np.nonzero(weights <= scale)[0]
+    kept = kept[np.argsort(weights[kept], kind="stable")]
+    edges = (iu[kept], ju[kept], weights[kept])
+    pd0, merges = _h0_by_union_find(n, *edges)
+    return pd0, _h1_by_cohomology(n, *edges, merges)
+
+
+def _h0_by_union_find(n: int, edges_i, edges_j, births):
+    """
+    H0 by union-find over edges in filtration order.
+
+    Each component is rooted at its smallest vertex, and a merge kills the
+    component with the larger root: the elder rule under the vertex order,
+    which is what the reference reduction pairs. Pairs come out ordered by
+    that dying vertex, essential classes by their root. Also returns the
+    filtration ranks of the merging edges.
+    """
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    killed_by: dict[int, int] = {}
+    for e, (i, j) in enumerate(zip(edges_i.tolist(), edges_j.tolist())):
+        if len(killed_by) == n - 1:
+            break
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            ri, rj = min(ri, rj), max(ri, rj)
+            parent[rj] = ri
+            killed_by[rj] = e
+    w = births.tolist()
+    pairs = [(0.0, w[e]) for _, e in sorted(killed_by.items()) if w[e] > 0]
+    essential = [0.0 for v in range(n) if parent[v] == v]
+    pd = PersistenceDiagram(0, np.asarray(pairs, dtype=float), np.asarray(essential))
+    return pd, list(killed_by.values())
+
+
+def _pop_pivot(heap: list[int]) -> int | None:
+    """
+    Pop the smallest key of odd multiplicity from a heap of column keys.
+
+    Copies of a key cancel in pairs over Z/2; those met on the way are
+    dropped. Returns None when the column is zero.
+    """
+    while heap:
+        key = heapq.heappop(heap)
+        if heap and heap[0] == key:
+            heapq.heappop(heap)
+        else:
+            return key
+    return None
+
+
+def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDiagram:
+    """
+    H1 pairs of the flag complex on the given edges (sorted by birth, i, j).
+
+    Births are replaced by levels, their indices among the distinct edge
+    births. A triangle a < b < c is keyed level * n^3 + (a * n + b) * n + c,
+    so keys sort in the (birth, a, b, c) filtration order and a column's
+    pivot is its smallest key. On a fixed edge the vertex part of the key
+    grows with the third vertex k, so the pivot minimizes level * n + k.
+    """
+    m = births.size
+    is_new = np.ones(m, dtype=bool)
+    is_new[1:] = births[1:] != births[:-1]
+    level = np.cumsum(is_new) - 1
+    absent = int(is_new.sum())  # the level of a missing edge, and of its triangles
+    n3 = n**3
+    if (absent + 1) * n3 > np.iinfo(np.int64).max:
+        raise ValueError(f"a cloud of {n} points is too large for 64-bit triangle keys")
+    lev = np.full((n, n), absent, dtype=np.int64)
+    lev[edges_i, edges_j] = lev[edges_j, edges_i] = level
+    creators = np.ones(m, dtype=bool)
+    creators[merges] = False
+    cand = np.nonzero(creators)[0]
+    ci, cj = edges_i[cand], edges_j[cand]
+
+    def code(i, j, third):
+        """The vertex part of the keys of triangles {i, j, third}, i < j."""
+        a, c = np.minimum(i, third), np.maximum(j, third)
+        return (a * n + (i + j + third - a - c)) * n + c
+
+    def column(q):
+        """The sorted coboundary of candidate q; its first key is the pivot."""
+        row = np.maximum(np.maximum(lev[ci[q]], lev[cj[q]]), level[cand[q]])
+        third = np.nonzero(row < absent)[0]
+        return np.sort(row[third] * n3 + code(ci[q], cj[q], third))
+
+    # Pivots of all candidate columns, a bounded block of rows at a time.
+    pivots = np.empty(cand.size, dtype=np.int64)
+    step = max(1, (1 << 18) // n)
+    for s in range(0, cand.size, step):
+        t = slice(s, s + step)
+        block = np.maximum(np.maximum(lev[ci[t]], lev[cj[t]]), level[cand[t], None])
+        third = (block * n + np.arange(n)).argmin(axis=1)
+        low = block[np.arange(third.size), third]
+        pivots[t] = np.where(low < absent, low * n3 + code(ci[t], cj[t], third), -1)
+
+    # A claimed pivot maps to its candidate while the column is still the
+    # plain coboundary, and to the reduced column once one was built.
+    claimed: dict[int, object] = {}
+    deaths: list[int | None] = [None] * cand.size  # pivot keys; None if essential
+    for q, pivot in zip(range(cand.size - 1, -1, -1), pivots[::-1].tolist()):
+        low = None if pivot < 0 else pivot
+        work = None  # the working column below its pivot `low`, as a heap
+        while low in claimed:
+            if work is None:
+                work = column(q)[1:].tolist()
+            other = claimed[low]
+            if isinstance(other, int):
+                other = claimed[low] = column(other)
+            for key in other[1:].tolist():
+                heapq.heappush(work, key)
+            low = _pop_pivot(work)
+        if low is not None and work is None:
+            claimed[low] = q
+        elif low is not None:
+            keys, copies = np.unique(np.asarray(work, dtype=np.int64), return_counts=True)
+            claimed[low] = np.concatenate(([low], keys[copies % 2 == 1]))
+        deaths[q] = low
+
+    w, values = births.tolist(), births[is_new].tolist()
+    pairs, essential = [], []
+    for e, key in zip(cand.tolist(), deaths):
+        if key is None:
+            essential.append(w[e])
+        elif values[key // n3] > w[e]:
+            pairs.append((w[e], values[key // n3]))
+    return PersistenceDiagram(1, np.asarray(pairs, dtype=float), np.asarray(essential))
 
 
 def write_diagrams(path, diagrams) -> None:

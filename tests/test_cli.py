@@ -68,6 +68,22 @@ def test_exit_codes(tmp_path):
     assert run("density", "--wat") == 4
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_non_finite_inputs_exit_parse(tmp_path, capsys, token):
+    series = tmp_path / "ts.csv"
+    series.write_text(f"0.1\n0.2\n{token}\n0.4\n")
+    assert run("embed", "--input", series, "--m", 2, "--tau", 1,
+               "--output", tmp_path / "c.csv") == 3
+    assert f"{series}:3:" in capsys.readouterr().err
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text(f"0,0\n1,{token}\n0,1\n")
+    assert run("persist", "--input", cloud, "--output", tmp_path / "d.csv") == 3
+    assert f"{cloud}:2:" in capsys.readouterr().err
+    dgm = tmp_path / "dgm.csv"
+    dgm.write_text(f"dim,birth,death\n1,{token},0.5\n")
+    assert run("density", "--input", dgm, "--output", tmp_path / "g.csv") == 3
+
+
 def test_dist_hilbert_and_w1(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

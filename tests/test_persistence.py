@@ -232,3 +232,137 @@ def test_diagram_csv_roundtrip(tmp_path):
     bad.write_text("dim,birth,death\n0,oops,1\n")
     with pytest.raises(ParseError):
         read_diagrams(bad)
+
+
+def _gf2_rank(matrix: np.ndarray) -> int:
+    """Rank over Z/2 by Gaussian elimination on a dense 0/1 matrix."""
+    m = matrix.astype(bool)
+    rank = 0
+    for col in range(m.shape[1]):
+        rows = np.nonzero(m[rank:, col])[0]
+        if not rows.size:
+            continue
+        pivot = rank + rows[0]
+        m[[rank, pivot]] = m[[pivot, rank]]
+        hits = np.nonzero(m[:, col])[0]
+        m[hits[hits != rank]] ^= m[rank]
+        rank += 1
+        if rank == m.shape[0]:
+            break
+    return rank
+
+
+def _births(cloud, temporal_links):
+    diff = cloud[:, None, :] - cloud[None, :, :]
+    births = np.sqrt((diff * diff).sum(axis=-1))
+    if temporal_links:
+        steps = np.arange(cloud.shape[0] - 1)
+        births[steps, steps + 1] = births[steps + 1, steps] = 0.0
+    return births
+
+
+def _betti1(births, r):
+    """beta_1 of the flag complex (up to triangles) on the edges born by r."""
+    n = births.shape[0]
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if births[i, j] <= r]
+    index = {e: col for col, e in enumerate(edges)}
+    triangles = [
+        (i, j, k)
+        for i, j in edges
+        for k in range(j + 1, n)
+        if (i, k) in index and (j, k) in index
+    ]
+    d1 = np.zeros((n, len(edges)), dtype=bool)
+    for col, (i, j) in enumerate(edges):
+        d1[[i, j], col] = True
+    d2 = np.zeros((len(edges), len(triangles)), dtype=bool)
+    for col, (i, j, k) in enumerate(triangles):
+        d2[[index[(i, j)], index[(i, k)], index[(j, k)]], col] = True
+    return len(edges) - _gf2_rank(d1) - _gf2_rank(d2)
+
+
+def _live_h1(pd, r):
+    return int(np.sum((pd.pairs[:, 0] <= r) & (r < pd.pairs[:, 1]))) + int(
+        np.sum(pd.essential <= r)
+    )
+
+
+def test_h1_matches_betti_numbers_from_boundary_ranks():
+    # Independent H1 oracle: at every filtration value, the classes a
+    # diagram has alive must equal beta_1 = dim ker d1 - rank d2 of the
+    # complex at that value, both ranks taken over Z/2 from dense matrices.
+    rng = np.random.default_rng(61)
+    cases = 0
+    for trial in range(24):
+        n = int(rng.integers(4, 13))
+        cloud = rng.normal(size=(n, int(rng.integers(1, 4))))
+        if trial % 3 == 1:
+            cloud = np.round(cloud, 1)  # tied distances
+        temporal = trial % 2 == 1
+        births = _births(cloud, temporal)
+        max_scale = None if trial % 4 < 2 else 0.6 * cloud_diameter(cloud)
+        cutoff = cloud_diameter(cloud) if max_scale is None else max_scale
+        births = np.where(births <= cutoff, births, np.inf)
+        _, fast = diagram_of_cloud(cloud, max_scale, temporal)
+        _, slow = compute_persistence(build_rips(cloud, cutoff, temporal))
+        values = np.unique(births[np.isfinite(births)])
+        for r in values.tolist():
+            beta1 = _betti1(births, r)
+            assert _live_h1(fast, r) == beta1
+            assert _live_h1(slow, r) == beta1
+            cases += 1
+    assert cases > 300
+
+
+def _equivalence_corpus():
+    rng = np.random.default_rng(73)
+    clouds = [
+        np.array([[0.3, -1.0]]),
+        np.array([[0.0], [0.7]]),
+        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]),
+        UNIT_SQUARE,
+        np.arange(9, dtype=float).reshape(-1, 1),
+    ]
+    for n in (5, 9, 14):
+        clouds.append(rng.normal(size=(n, 1)))
+        clouds.append(np.round(rng.normal(size=(n, 2)), 1))
+        clouds.append(rng.integers(0, 3, size=(n, 2)).astype(float))
+        dup = rng.normal(size=(n, 3))
+        dup[n // 2] = dup[0]
+        dup[-1] = dup[1]
+        clouds.append(dup)
+    return clouds
+
+
+def test_engine_matches_reference_reduction_bytes(tmp_path):
+    # diagram_of_cloud must write exactly the bytes the reference reduction
+    # of the full filtration writes, for each scale regime: below the
+    # enclosing radius, between it and the diameter, and beyond.
+    fast_path, slow_path = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    for cloud in _equivalence_corpus():
+        diameter = cloud_diameter(cloud)
+        for temporal in (False, True):
+            births = _births(cloud, temporal)
+            radius = float(births.max(axis=1).min())
+            scales = [None, 2.0 * diameter + 1.0]
+            if radius > 0:
+                scales += [0.5 * radius, radius, 0.5 * (radius + diameter)]
+            for max_scale in scales:
+                write_diagrams(fast_path, diagram_of_cloud(cloud, max_scale, temporal))
+                reference = (diameter or 1.0) if max_scale is None else max_scale
+                write_diagrams(
+                    slow_path,
+                    compute_persistence(build_rips(cloud, reference, temporal)),
+                )
+                assert fast_path.read_bytes() == slow_path.read_bytes()
+
+
+def test_engine_rejects_bad_input():
+    with pytest.raises(ValueError):
+        diagram_of_cloud(np.empty((0, 2)))
+    with pytest.raises(ValueError):
+        diagram_of_cloud(np.array([[np.nan, 0.0]]))
+    for scale in (0.0, -1.0, np.inf):
+        with pytest.raises(ValueError):
+            diagram_of_cloud(UNIT_SQUARE, max_scale=scale)
