@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import sphere
 from .density import PersistencePdf, sqrt_transform
-from .errors import ParseError
+from .errors import ParseError, read_csv
 from .persistence import PersistenceDiagram, diagram_of_cloud
 from .wasserstein import wasserstein
 
@@ -48,53 +47,55 @@ class DistanceMatrix:
             raise ValueError("distances must be nonnegative")
 
 
-def _hilbert_matrix(pdfs: list[PersistencePdf]) -> np.ndarray:
-    k = pdfs[0].grid_size
-    sigma = pdfs[0].sigma
-    for p in pdfs[1:]:
-        if p.grid_size != k:
-            raise ConfigurationError(
-                f"mixed grid resolutions: {k} vs {p.grid_size}"
-            )
-        if p.sigma != sigma:
-            raise ConfigurationError(f"mixed bandwidths: {sigma} vs {p.sigma}")
-    flat = np.stack([sqrt_transform(p).grid.ravel() for p in pdfs])
-    cosines = (flat @ flat.T) / (k * k)
-    dist = np.arccos(np.clip(cosines, -1.0, 1.0))
-    upper = np.triu(dist, 1)
-    return upper + upper.T
-
-
-def _matching_matrix(diagrams: list[PersistenceDiagram], q: int, jobs: int) -> np.ndarray:
-    n = len(diagrams)
-    values = np.zeros((n, n))
-    index_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-    def solve(ij):
-        i, j = ij
-        return i, j, wasserstein(diagrams[i], diagrams[j], q)[0]
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(solve, index_pairs))
-    else:
-        results = [solve(ij) for ij in index_pairs]
-    for i, j, d in results:
-        values[i, j] = d
-        values[j, i] = d
-    return values
-
-
-def distance_matrix(items, metric: str, labels=None, jobs: int = 1) -> DistanceMatrix:
+def cross_distances(rows, cols, metric: str) -> np.ndarray:
     """
-    All-pairs distances between items.
+    Distances from every item of `rows` to every item of `cols`.
 
     For metric 'hilbert', items are PersistencePdf objects sharing grid
     resolution and bandwidth (mixed parameters raise ConfigurationError);
     each is square-root transformed and compared by arc length. For 'w1'
-    and 'w2', items are PersistenceDiagram objects. Each pair is computed
+    and 'w2', items are PersistenceDiagram objects compared by exact
+    Wasserstein matching. Passing the same list as both sides computes
+    each pair once and mirrors it, so the result is exactly symmetric with
+    a zero diagonal.
+    """
+    same = rows is cols
+    if metric == "hilbert":
+        if not all(isinstance(p, PersistencePdf) for p in (*rows, *cols)):
+            raise ConfigurationError("hilbert metric expects PersistencePdf items")
+        first = rows[0]
+        for p in (*rows, *cols):
+            if p.grid_size != first.grid_size:
+                raise ConfigurationError(
+                    f"mixed grid resolutions: {first.grid_size} vs {p.grid_size}"
+                )
+            if p.sigma != first.sigma:
+                raise ConfigurationError(f"mixed bandwidths: {first.sigma} vs {p.sigma}")
+        a = np.stack([sqrt_transform(p).grid.ravel() for p in rows])
+        b = a if same else np.stack([sqrt_transform(p).grid.ravel() for p in cols])
+        dist = np.arccos(np.clip((a @ b.T) / a.shape[1], -1.0, 1.0))
+    elif metric in ("w1", "w2"):
+        if not all(isinstance(p, PersistenceDiagram) for p in (*rows, *cols)):
+            raise ConfigurationError(f"{metric} expects PersistenceDiagram items")
+        q = 1 if metric == "w1" else 2
+        dist = np.zeros((len(rows), len(cols)))
+        for i, d in enumerate(rows):
+            for j in range(i + 1 if same else 0, len(cols)):
+                dist[i, j] = wasserstein(d, cols[j], q)[0]
+    else:
+        raise ValueError(f"unknown metric {metric!r}; pick one of {METRICS}")
+    if same:
+        upper = np.triu(dist, 1)
+        dist = upper + upper.T
+    return dist
+
+
+def distance_matrix(items, metric: str, labels=None) -> DistanceMatrix:
+    """
+    All-pairs distances between items under `metric`, as computed by
+    `cross_distances` with `items` on both sides: each pair is computed
     once and mirrored, so the matrix is exactly symmetric with a zero
-    diagonal. `jobs` > 1 parallelizes the pair computations.
+    diagonal.
     """
     items = list(items)
     if len(items) < 2:
@@ -102,16 +103,7 @@ def distance_matrix(items, metric: str, labels=None, jobs: int = 1) -> DistanceM
     if labels is None:
         labels = [f"item_{i:03d}" for i in range(len(items))]
     labels = [str(b) for b in labels]
-    if metric == "hilbert":
-        if not all(isinstance(p, PersistencePdf) for p in items):
-            raise ConfigurationError("hilbert metric expects PersistencePdf items")
-        values = _hilbert_matrix(items)
-    elif metric in ("w1", "w2"):
-        if not all(isinstance(p, PersistenceDiagram) for p in items):
-            raise ConfigurationError(f"{metric} expects PersistenceDiagram items")
-        values = _matching_matrix(items, 1 if metric == "w1" else 2, jobs)
-    else:
-        raise ValueError(f"unknown metric {metric!r}; pick one of {METRICS}")
+    values = cross_distances(items, items, metric)
     return DistanceMatrix(labels=labels, values=values, metric=metric)
 
 
@@ -424,23 +416,8 @@ def write_matrix(path, matrix: DistanceMatrix) -> None:
 
 def read_matrix(path, metric: str = "hilbert") -> DistanceMatrix:
     """Read a matrix written by write_matrix."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith(","):
-            raise ParseError(f"{path}: missing label header row")
-        labels = header.split(",")[1:]
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != len(labels) + 1:
-                raise ParseError(f"{path}:{lineno}: wrong column count")
-            try:
-                rows.append([float(f) for f in fields[1:]])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad distance row") from exc
-    if len(rows) != len(labels):
+    table = read_csv(path, ",...", text=1)
+    labels = table.header[1:]
+    if len(table.linenos) != len(labels):
         raise ParseError(f"{path}: row count does not match header labels")
-    return DistanceMatrix(labels=labels, values=np.asarray(rows), metric=metric)
+    return DistanceMatrix(labels=labels, values=table.values, metric=metric)

@@ -1,6 +1,7 @@
 """Command-line front end wiring the pipeline end to end via files.
 
-Exit codes: 0 success, 2 missing file, 3 unparseable file, 4 bad parameter.
+Exit codes: 0 success, 2 missing or unusable path, 3 unparseable file,
+4 bad parameter.
 Errors print a single line `error: <kind>: <detail>` on stderr.
 """
 
@@ -14,7 +15,7 @@ import sys
 import numpy as np
 
 from . import analysis, density, embedding, persistence, sphere
-from .errors import ParseError
+from .errors import ParseError, read_csv
 from .wasserstein import alexandrov_geodesic, wasserstein
 
 EXIT_OK = 0
@@ -41,10 +42,6 @@ def _write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _load_diagram(path, dim: int) -> persistence.PersistenceDiagram:
-    return persistence.read_diagram(path, dim)
 
 
 def _global_scale(diagrams) -> float:
@@ -104,7 +101,7 @@ def _cmd_persist(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    pd = _load_diagram(args.input, args.dim)
+    pd = persistence.read_diagram(args.input, args.dim)
     scale = args.scale if args.scale is not None else _global_scale([pd])
     pdf = _densify([pd], scale, args.sigma, args.grid, names=[args.input])[0]
     density.write_grid(args.output, pdf.grid)
@@ -113,8 +110,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_dist(args) -> int:
-    pa = _load_diagram(args.a, args.dim)
-    pb = _load_diagram(args.b, args.dim)
+    pa = persistence.read_diagram(args.a, args.dim)
+    pb = persistence.read_diagram(args.b, args.dim)
     scale = args.scale if args.scale is not None else _global_scale([pa, pb])
     if args.metric == "hilbert":
         pdfs = _densify([pa, pb], scale, args.sigma, args.grid, names=[args.a, args.b])
@@ -133,29 +130,14 @@ def _group_inputs(paths, groups_file):
     if groups_file is None:
         return [(os.path.splitext(os.path.basename(p))[0], [p]) for p in paths]
     grouped: dict[str, list[str]] = {}
-    order: list[str] = []
-    with open(groups_file, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "name,path":
-            raise ParseError(f"{groups_file}: expected header 'name,path'")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 2:
-                raise ParseError(f"{groups_file}:{lineno}: expected name,path")
-            name, path = fields
-            if name not in grouped:
-                grouped[name] = []
-                order.append(name)
-            grouped[name].append(path)
+    for name, path in read_csv(groups_file, "name,path", text=2).text:
+        grouped.setdefault(name, []).append(path)
     counts = {len(v) for v in grouped.values()}
     if len(counts) > 1:
         raise analysis.ConfigurationError(
             f"groups have mixed channel counts: {sorted(counts)}"
         )
-    return [(name, grouped[name]) for name in order]
+    return list(grouped.items())
 
 
 def _cmd_distmat(args) -> int:
@@ -165,7 +147,7 @@ def _cmd_distmat(args) -> int:
     labels = [name for name, _ in items]
     n_channels = len(items[0][1])
     per_channel = [
-        [_load_diagram(paths[ch], args.dim) for name, paths in items]
+        [persistence.read_diagram(paths[ch], args.dim) for name, paths in items]
         for ch in range(n_channels)
     ]
     all_diagrams = [d for channel in per_channel for d in channel]
@@ -176,10 +158,10 @@ def _cmd_distmat(args) -> int:
     for channel in per_channel:
         if args.metric == "hilbert":
             pdfs = _densify(channel, scale, args.sigma, args.grid, names=labels)
-            dm = analysis.distance_matrix(pdfs, "hilbert", labels, jobs=args.jobs)
+            dm = analysis.distance_matrix(pdfs, "hilbert", labels)
         else:
             normalized = [persistence.normalize_diagram(d, scale) for d in channel]
-            dm = analysis.distance_matrix(normalized, args.metric, labels, jobs=args.jobs)
+            dm = analysis.distance_matrix(normalized, args.metric, labels)
         total = dm.values if total is None else total + dm.values
     values = total / n_channels
     matrix = analysis.DistanceMatrix(labels=labels, values=values, metric=args.metric)
@@ -199,8 +181,8 @@ def _cmd_distmat(args) -> int:
 
 
 def _cmd_geodesic(args) -> int:
-    pa = _load_diagram(args.from_path, args.dim)
-    pb = _load_diagram(args.to_path, args.dim)
+    pa = persistence.read_diagram(args.from_path, args.dim)
+    pb = persistence.read_diagram(args.to_path, args.dim)
     if args.steps < 2:
         raise _CliParameterError(f"--steps must be >= 2, got {args.steps}")
     os.makedirs(args.output_dir, exist_ok=True)
@@ -225,7 +207,7 @@ def _cmd_geodesic(args) -> int:
 
 
 def _cmd_mean(args) -> int:
-    diagrams = [_load_diagram(p, args.dim) for p in args.inputs]
+    diagrams = [persistence.read_diagram(p, args.dim) for p in args.inputs]
     if not diagrams:
         raise _CliParameterError("need at least 1 input diagram")
     scale = args.scale if args.scale is not None else _global_scale(diagrams)
@@ -237,7 +219,7 @@ def _cmd_mean(args) -> int:
 
 
 def _cmd_pga(args) -> int:
-    diagrams = [_load_diagram(p, args.dim) for p in args.inputs]
+    diagrams = [persistence.read_diagram(p, args.dim) for p in args.inputs]
     scale = args.scale if args.scale is not None else _global_scale(diagrams)
     pdfs = _densify(diagrams, scale, args.sigma, args.grid, names=args.inputs)
     psis = [density.sqrt_transform(p) for p in pdfs]
@@ -260,55 +242,25 @@ def _cmd_pga(args) -> int:
 
 
 def _read_manifest_csv(path):
-    entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "path,label":
-            raise ParseError(f"{path}: expected header 'path,label'")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 2:
-                raise ParseError(f"{path}:{lineno}: expected path,label")
-            entries.append((fields[0], fields[1]))
-    if not entries:
-        raise ParseError(f"{path}: no entries")
-    return entries
+    return read_csv(path, "path,label", text=2).text
 
 
 def _cmd_knn(args) -> int:
     train = _read_manifest_csv(args.train)
     train_paths = [p for p, _ in train]
     train_labels = [lab for _, lab in train]
-    train_diagrams = [_load_diagram(p, args.dim) for p in train_paths]
-    test_diagrams = [_load_diagram(p, args.dim) for p in args.test]
+    train_diagrams = [persistence.read_diagram(p, args.dim) for p in train_paths]
+    test_diagrams = [persistence.read_diagram(p, args.dim) for p in args.test]
     everything = train_diagrams + test_diagrams
     scale = args.scale if args.scale is not None else _global_scale(everything)
 
+    n_train = len(train_diagrams)
     if args.metric == "hilbert":
-        pdfs = _densify(everything, scale, args.sigma, args.grid,
-                        names=train_paths + list(args.test))
-        psis = np.stack([density.sqrt_transform(p).grid.ravel() for p in pdfs])
-        k2 = args.grid * args.grid
-        cosines = (psis[len(train_diagrams):] @ psis[: len(train_diagrams)].T) / k2
-        dists = np.arccos(np.clip(cosines, -1.0, 1.0))
+        items = _densify(everything, scale, args.sigma, args.grid,
+                         names=train_paths + list(args.test))
     else:
-        q = 1 if args.metric == "w1" else 2
-        norm_train = [persistence.normalize_diagram(d, scale) for d in train_diagrams]
-        norm_test = [persistence.normalize_diagram(d, scale) for d in test_diagrams]
-
-        def row(t):
-            return [wasserstein(t, tr, q)[0] for tr in norm_train]
-
-        if args.jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                dists = np.asarray(list(pool.map(row, norm_test)))
-        else:
-            dists = np.asarray([row(t) for t in norm_test])
+        items = [persistence.normalize_diagram(d, scale) for d in everything]
+    dists = analysis.cross_distances(items[n_train:], items[:n_train], args.metric)
     predictions = analysis.knn_classify(dists, train_labels, args.k)
     names = [os.path.splitext(os.path.basename(p))[0] for p in args.test]
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -341,47 +293,23 @@ def _cmd_regress(args) -> int:
     return EXIT_OK
 
 
+def _unique_names(path, table):
+    seen = set()
+    for lineno, (name,) in zip(table.linenos, table.text):
+        if name in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate name {name!r}")
+        seen.add(name)
+    return [name for name, in table.text]
+
+
 def _read_feature_csv(path):
-    names, rows = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("name,"):
-            raise ParseError(f"{path}: expected header starting with 'name,'")
-        width = len(header.split(",")) - 1
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != width + 1:
-                raise ParseError(f"{path}:{lineno}: wrong column count")
-            try:
-                rows.append([float(f) for f in fields[1:]])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad feature row") from exc
-            names.append(fields[0])
-    if not rows:
-        raise ParseError(f"{path}: no feature rows")
-    return np.asarray(rows), names
+    table = read_csv(path, "name,...", text=1)
+    return table.values, _unique_names(path, table)
 
 
 def _read_score_csv(path, names):
-    scores = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "name,score":
-            raise ParseError(f"{path}: expected header 'name,score'")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 2:
-                raise ParseError(f"{path}:{lineno}: expected name,score")
-            try:
-                scores[fields[0]] = float(fields[1])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad score") from exc
+    table = read_csv(path, "name,score", text=1)
+    scores = dict(zip(_unique_names(path, table), table.values[:, 0]))
     missing = [n for n in names if n not in scores]
     if missing:
         raise ParseError(f"{path}: missing scores for {missing}")
@@ -491,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=analysis.METRICS, default="hilbert")
     p.add_argument("--dim", type=int, default=1, choices=(0, 1))
     _add_density_args(p)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--output", required=True)
     p.add_argument("--manifest", default=None, help="JSON provenance output")
     p.set_defaults(func=_cmd_distmat)
@@ -529,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=1, choices=(0, 1))
     p.add_argument("--k", type=int, default=1)
     _add_density_args(p)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--output", required=True)
     p.add_argument("--manifest", default=None)
     p.set_defaults(func=_cmd_knn)
@@ -574,6 +500,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         name = exc.filename if exc.filename else exc
         print(f"error: not-found: {name}", file=sys.stderr)
+        return EXIT_NOT_FOUND
+    except OSError as exc:
+        name = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"error: io: {name}", file=sys.stderr)
         return EXIT_NOT_FOUND
     except ParseError as exc:
         print(f"error: parse: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import read_csv
 from .persistence import PersistenceDiagram
 
 NORM_TOL = 1e-9
@@ -186,25 +186,7 @@ def write_grid(path, grid) -> None:
 
 def read_grid(path) -> np.ndarray:
     """Read a CSV grid written by write_grid."""
-    rows = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise ParseError(f"{path}:{lineno}: ragged row")
-            try:
-                rows.append([float(f) for f in fields])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad grid row") from exc
-    if not rows:
-        raise ParseError(f"{path}: empty grid")
-    return np.asarray(rows, dtype=float)
+    return read_csv(path).values
 
 
 def write_pgm(path, grid) -> None:

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, read_csv
 
 
 def delay_embed(series, m: int, tau: int) -> np.ndarray:
@@ -65,65 +63,23 @@ def read_series(path, channel: int | None = None) -> np.ndarray:
     Single-column files hold one real per line. Multi-column files require
     `channel` (0-based) to pick the column.
     """
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if channel is None:
-                if len(fields) != 1:
-                    raise ParseError(
-                        f"{path}:{lineno}: {len(fields)} columns; pass a channel "
-                        "to select one"
-                    )
-                raw = fields[0]
-            else:
-                if channel < 0 or channel >= len(fields):
-                    raise ParseError(
-                        f"{path}:{lineno}: channel {channel} out of range for "
-                        f"{len(fields)} columns"
-                    )
-                raw = fields[channel]
-            try:
-                value = float(raw)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: not a number: {raw!r}") from exc
-            if not math.isfinite(value):
-                raise ParseError(f"{path}:{lineno}: non-finite value {raw!r}")
-            rows.append(value)
-    if not rows:
-        raise ParseError(f"{path}: no samples found")
-    return np.asarray(rows, dtype=float)
+    table = read_csv(path)
+    width = table.values.shape[1]
+    if channel is None and width != 1:
+        raise ParseError(
+            f"{path}:{table.linenos[0]}: {width} columns; pass a channel to select one"
+        )
+    if channel is not None and not 0 <= channel < width:
+        raise ParseError(
+            f"{path}:{table.linenos[0]}: channel {channel} out of range for "
+            f"{width} columns"
+        )
+    return table.values[:, channel or 0]
 
 
 def read_cloud(path) -> np.ndarray:
     """Read a point cloud from CSV (one point per row, fixed column count)."""
-    rows = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {width} columns, got {len(fields)}"
-                )
-            try:
-                row = [float(f) for f in fields]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: not a number row: {line!r}") from exc
-            if not all(map(math.isfinite, row)):
-                raise ParseError(f"{path}:{lineno}: non-finite value in row {line!r}")
-            rows.append(row)
-    if not rows:
-        raise ParseError(f"{path}: no points found")
-    return np.asarray(rows, dtype=float)
+    return read_csv(path).values
 
 
 def write_cloud(path, cloud) -> None:

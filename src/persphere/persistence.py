@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, read_csv
 
 
 class FiltrationError(ValueError):
@@ -553,37 +553,20 @@ def write_diagrams(path, diagrams) -> None:
 
 def read_diagrams(path) -> dict[int, PersistenceDiagram]:
     """Read a diagram CSV; returns one diagram per homology dimension present."""
-    pairs: dict[int, list] = {}
-    essential: dict[int, list] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "dim,birth,death":
-            raise ParseError(f"{path}: expected header 'dim,birth,death', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 columns")
-            try:
-                dim = int(fields[0])
-                birth = float(fields[1])
-                death = float(fields[2])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad row {line!r}") from exc
-            if np.isinf(death):
-                essential.setdefault(dim, []).append(birth)
-            else:
-                pairs.setdefault(dim, []).append((birth, death))
-    out = {}
-    for dim in sorted(set(pairs) | set(essential)):
+    table = read_csv(path, "dim,birth,death", text=1, inf_column=2, empty_ok=True)
+    dims = []
+    for lineno, (token,) in zip(table.linenos, table.text):
         try:
-            out[dim] = PersistenceDiagram(
-                dim,
-                np.asarray(pairs.get(dim, []), dtype=float),
-                np.asarray(essential.get(dim, []), dtype=float),
-            )
+            dims.append(int(token))
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: bad dimension {token!r}") from None
+    dims = np.asarray(dims, dtype=int)
+    out = {}
+    for dim in sorted(set(dims.tolist())):
+        rows = table.values[dims == dim]
+        essential = np.isinf(rows[:, 1])
+        try:
+            out[dim] = PersistenceDiagram(dim, rows[~essential], rows[essential, 0])
         except ValueError as exc:
             raise ParseError(f"{path}: invalid diagram for dim {dim}: {exc}") from exc
     return out

@@ -57,14 +57,6 @@ def test_distance_matrix_bounds_and_symmetry():
         assert np.all(dm.values >= 0)
 
 
-def test_distance_matrix_parallel_matches_serial():
-    rng = np.random.default_rng(4)
-    pds = [random_diagram(rng, 4) for _ in range(6)]
-    serial = distance_matrix(pds, "w2", jobs=1)
-    parallel = distance_matrix(pds, "w2", jobs=4)
-    assert np.array_equal(serial.values, parallel.values)
-
-
 def test_distance_matrix_configuration_errors():
     a = _pdfs([[[0.3, 0.7]]], k=32)[0]
     b = _pdfs([[[0.3, 0.7]]], k=64)[0]

@@ -1,12 +1,15 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from persphere.analysis import read_matrix
 from persphere.cli import main
 from persphere.density import read_grid
 from persphere.embedding import write_cloud
+from persphere.errors import ParseError
 from persphere.persistence import (
     PersistenceDiagram,
     read_diagram,
@@ -82,6 +85,62 @@ def test_non_finite_inputs_exit_parse(tmp_path, capsys, token):
     dgm = tmp_path / "dgm.csv"
     dgm.write_text(f"dim,birth,death\n1,{token},0.5\n")
     assert run("density", "--input", dgm, "--output", tmp_path / "g.csv") == 3
+    assert f"{dgm}:2:" in capsys.readouterr().err
+    # inf is an essential bar's death; nan and -inf deaths are not
+    dgm.write_text(f"dim,birth,death\n1,0.1,0.5\n1,0.2,{token}\n")
+    assert run("density", "--input", dgm, "--output", tmp_path / "g.csv") == (
+        0 if token == "inf" else 3)
+    assert token == "inf" or f"{dgm}:3:" in capsys.readouterr().err
+    grid = tmp_path / "grid.csv"
+    grid.write_text(f"0.25,0.25\n0.25,{token}\n")
+    assert run("heatmap", "--input", grid, "--output", tmp_path / "g.pgm") == 3
+    assert f"{grid}:2:" in capsys.readouterr().err
+    matrix = tmp_path / "dm.csv"
+    matrix.write_text(f",a,b\na,0,{token}\nb,{token},0\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(matrix))}:2:"):
+        read_matrix(matrix)
+    features = tmp_path / "features.csv"
+    scores = tmp_path / "scores.csv"
+    names = [f"s{i}" for i in range(4)]
+    features.write_text("name,c0\n" + "".join(f"{n},{i}\n" for i, n in enumerate(names)))
+    scores.write_text("name,score\n" + "".join(f"{n},{i}\n" for i, n in enumerate(names)))
+    bad = features.read_text().replace("s2,2", f"s2,{token}")
+    (tmp_path / "bad_features.csv").write_text(bad)
+    assert run("regress", "--features", tmp_path / "bad_features.csv", "--scores", scores,
+               "--output", tmp_path / "r.csv") == 3
+    assert "bad_features.csv:4:" in capsys.readouterr().err
+    bad = scores.read_text().replace("s1,1", f"s1,{token}")
+    (tmp_path / "bad_scores.csv").write_text(bad)
+    assert run("regress", "--features", features, "--scores", tmp_path / "bad_scores.csv",
+               "--output", tmp_path / "r.csv") == 3
+    assert "bad_scores.csv:3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which, lineno", [("features", 4), ("scores", 5)])
+def test_regress_duplicate_names_exit_parse(tmp_path, capsys, which, lineno):
+    lines = {"features": ["name,c0", "a,1", "b,2", "c,4"],
+             "scores": ["name,score", "a,1", "b,2", "c,3"]}
+    lines[which].insert(lineno - 1, "a,5")
+    paths = {}
+    for key, rows in lines.items():
+        paths[key] = tmp_path / f"{key}.csv"
+        paths[key].write_text("\n".join(rows) + "\n")
+    assert run("regress", "--features", paths["features"], "--scores", paths["scores"],
+               "--output", tmp_path / "r.csv") == 3
+    assert f"{paths[which]}:{lineno}: duplicate name" in capsys.readouterr().err
+
+
+def test_unreadable_inputs_exit_codes(tmp_path, capsys):
+    latin = tmp_path / "latin1.csv"
+    latin.write_bytes(b"dim,birth,death\n1,0.1,0.5 \xe9\n")
+    assert run("density", "--input", latin, "--output", tmp_path / "g.csv") == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: parse: {latin}: ") and err.count("\n") == 1
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    assert run("density", "--input", folder, "--output", tmp_path / "g.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(folder) in err and err.count("\n") == 1
 
 
 def test_dist_hilbert_and_w1(tmp_path, capsys):
