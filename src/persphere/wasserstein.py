@@ -1,9 +1,11 @@
 """Matching metrics between persistence diagrams.
 
-L1- and L2-Wasserstein distances with diagonal augmentation, solved exactly
-by the Hungarian algorithm on a square cost matrix; an exhaustive oracle
-for small instances; and the matched-interpolation geodesic whose midpoint
-is the two-diagram mean.
+L1- and L2-Wasserstein distances with diagonal augmentation, solved
+exactly: by an O(nx*ny) alignment over sorted deaths when every point of
+both diagrams has the same birth (every Rips H0 diagram is born at 0),
+and otherwise by the Hungarian algorithm on a square cost matrix. Also an
+exhaustive oracle for small instances, and the matched-interpolation
+geodesic whose midpoint is the two-diagram mean.
 """
 
 from __future__ import annotations
@@ -64,16 +66,16 @@ def _assignment_costs(px: np.ndarray, py: np.ndarray, q: int):
     return cross, diag_x, diag_y
 
 
-def _solve_assignment(cost: np.ndarray):
+def _solve_assignment(cost: np.ndarray) -> np.ndarray:
     """Exact minimum-cost perfect matching of a square matrix, O(n^3).
 
     Hungarian algorithm with row/column potentials and shortest augmenting
-    paths. Returns (row_for_col, total_cost) with 0-based indices.
+    paths. Returns row_for_col with 0-based indices.
     """
     c = np.asarray(cost, dtype=float)
     n = c.shape[0]
     if n == 0:
-        return np.empty(0, dtype=int), 0.0
+        return np.empty(0, dtype=int)
     rows = c.tolist()
     inf = float("inf")
     u = [0.0] * (n + 1)
@@ -115,9 +117,103 @@ def _solve_assignment(cost: np.ndarray):
             j_prev = way[j0]
             match[j0] = match[j_prev]
             j0 = j_prev
-    row_for_col = np.asarray(match[1:], dtype=int) - 1
-    total = float(c[row_for_col, np.arange(n)].sum())
-    return row_for_col, total
+    return np.asarray(match[1:], dtype=int) - 1
+
+
+def _hungarian_partners(cross, diag_x, diag_y) -> list[int]:
+    """Y partner of each X point (-1 for the diagonal), by a Hungarian solve.
+
+    The square matrix has one row per X point and per Y diagonal slot, and
+    one column per Y point and per X diagonal slot; diagonal-to-diagonal
+    entries cost nothing and forbidden entries cost more than any matching.
+    """
+    nx, ny = cross.shape
+    size = nx + ny
+    big = float(cross.sum() + diag_x.sum() + diag_y.sum()) + 1.0
+    cost = np.full((size, size), big)
+    cost[:nx, :ny] = cross
+    # X point i may pair with its own diagonal slot (column ny + i);
+    # row nx + j is the diagonal partner that absorbs Y point j.
+    cost[np.arange(nx), ny + np.arange(nx)] = diag_x
+    cost[nx + np.arange(ny), np.arange(ny)] = diag_y
+    cost[nx:, ny:] = 0.0
+
+    row_for_col = _solve_assignment(cost)
+    col_for_row = np.empty(size, dtype=int)
+    col_for_row[row_for_col] = np.arange(size)
+    return [j if j < ny else -1 for j in col_for_row[:nx].tolist()]
+
+
+def _line_partners(deaths_x, deaths_y, cross, diag_x, diag_y) -> list[int]:
+    """Y partner of each X point (-1 for the diagonal), for one shared birth.
+
+    When every point is born at the same value, each cost is a convex
+    function of a death gap, so matching the paired points in death order
+    is optimal. An alignment over the deaths sorted ascending (X point to
+    the diagonal, X and Y points paired, Y point to the diagonal) then
+    finds a minimum in O(nx*ny) time; ties prefer the pair move.
+    """
+    nx, ny = cross.shape
+    ox = np.argsort(deaths_x, kind="stable").tolist()
+    oy = np.argsort(deaths_y, kind="stable").tolist()
+    pair = cross[np.ix_(ox, oy)].tolist()
+    cost_x = diag_x[ox].tolist()
+    cost_y = diag_y[oy].tolist()
+    # move[i * ny + j] is the last step of a best alignment of the first
+    # i + 1 sorted X points with the first j + 1 sorted Y points:
+    # 0 pairs them, 1 sends the X point and 2 the Y point to the diagonal.
+    move = bytearray(nx * ny)
+    prev = [0.0] * (ny + 1)
+    for j in range(ny):
+        prev[j + 1] = prev[j] + cost_y[j]
+    for i in range(nx):
+        row, gap = pair[i], cost_x[i]
+        left = prev[0] + gap
+        cur = [left]
+        for j in range(ny):
+            best, step = prev[j] + row[j], 0
+            up = prev[j + 1] + gap
+            if up < best:
+                best, step = up, 1
+            side = left + cost_y[j]
+            if side < best:
+                best, step = side, 2
+            move[i * ny + j] = step
+            cur.append(best)
+            left = best
+        prev = cur
+
+    partner = [-1] * nx
+    i, j = nx, ny
+    while i and j:
+        step = move[(i - 1) * ny + j - 1]
+        if step == 0:
+            partner[ox[i - 1]] = oy[j - 1]
+        i -= step != 2
+        j -= step != 1
+    return partner
+
+
+def _decode(partner, cross, diag_x, diag_y, q: int):
+    """Distance and Matching of a partner list: X rows, then unmatched Y."""
+    ny = cross.shape[1]
+    pairs: list[tuple[int | None, int | None]] = []
+    matched = [False] * ny
+    total = 0.0
+    for i, j in enumerate(partner):
+        if j >= 0:
+            pairs.append((i, j))
+            matched[j] = True
+            total += float(cross[i, j])
+        else:
+            pairs.append((i, DIAGONAL))
+            total += float(diag_x[i])
+    for j in range(ny):
+        if not matched[j]:
+            pairs.append((DIAGONAL, j))
+            total += float(diag_y[j])
+    dist = total if q == 1 else float(np.sqrt(total))
+    return dist, Matching(pairs=pairs, cost=dist)
 
 
 def wasserstein(x: PersistenceDiagram, y: PersistenceDiagram, q: int = 2):
@@ -129,49 +225,32 @@ def wasserstein(x: PersistenceDiagram, y: PersistenceDiagram, q: int = 2):
     q=2 the distance is the square root of the minimal summed squared
     ground costs; for q=1 it is the minimal summed L1 ground costs.
 
+    When every point of both diagrams has the same birth, as in Rips H0
+    diagrams, the matching comes from an exact O(nx*ny) alignment over the
+    sorted deaths; otherwise from an O((nx+ny)^3) Hungarian solve. Both
+    paths are exact, and the distance is summed the same way from the
+    matching. Diagrams of different homology dimensions raise ValueError.
+
     Returns
     -------
     (distance, matching) : tuple of float and Matching
     """
     if q not in (1, 2):
         raise ValueError(f"q must be 1 or 2, got {q}")
+    if x.homology_dim != y.homology_dim:
+        raise ValueError("diagrams have different homology dimensions")
     px, py = x.pairs, y.pairs
     nx, ny = px.shape[0], py.shape[0]
     if nx == 0 and ny == 0:
         return 0.0, Matching(pairs=[], cost=0.0)
 
     cross, diag_x, diag_y = _assignment_costs(px, py, q)
-    size = nx + ny
-    big = float(cross.sum() + diag_x.sum() + diag_y.sum()) + 1.0
-    cost = np.full((size, size), big)
-    cost[:nx, :ny] = cross
-    # X point i may pair with its own diagonal slot (column ny + i);
-    # row nx + j is the diagonal partner that absorbs Y point j.
-    cost[np.arange(nx), ny + np.arange(nx)] = diag_x
-    cost[nx + np.arange(ny), np.arange(ny)] = diag_y
-    cost[nx:, ny:] = 0.0
-
-    row_for_col, _ = _solve_assignment(cost)
-    col_for_row = np.empty(size, dtype=int)
-    col_for_row[row_for_col] = np.arange(size)
-
-    pairs: list[tuple[int | None, int | None]] = []
-    total = 0.0
-    for i in range(nx):
-        j = int(col_for_row[i])
-        if j < ny:
-            pairs.append((i, j))
-            total += float(cross[i, j])
-        else:
-            pairs.append((i, DIAGONAL))
-            total += float(diag_x[i])
-    for j in range(ny):
-        i = int(row_for_col[j])
-        if i >= nx:
-            pairs.append((DIAGONAL, j))
-            total += float(diag_y[j])
-    dist = total if q == 1 else float(np.sqrt(total))
-    return dist, Matching(pairs=pairs, cost=dist)
+    births = np.concatenate([px[:, 0], py[:, 0]])
+    if np.all(births == births[0]):
+        partner = _line_partners(px[:, 1], py[:, 1], cross, diag_x, diag_y)
+    else:
+        partner = _hungarian_partners(cross, diag_x, diag_y)
+    return _decode(partner, cross, diag_x, diag_y, q)
 
 
 def brute_force(x: PersistenceDiagram, y: PersistenceDiagram, q: int = 2) -> float:
@@ -190,18 +269,18 @@ def brute_force(x: PersistenceDiagram, y: PersistenceDiagram, q: int = 2) -> flo
             f"brute force is limited to {BRUTE_FORCE_LIMIT} total points, "
             f"got {nx + ny}"
         )
-    cross, diag_x, diag_y = _assignment_costs(px, py, q)
-    all_diag = float(diag_x.sum() + diag_y.sum())
-    best = all_diag
-    for k in range(1, min(nx, ny) + 1):
+    cross, diag_x, diag_y = (c.tolist() for c in _assignment_costs(px, py, q))
+    best = float("inf")
+    for k in range(min(nx, ny) + 1):
         for xs in combinations(range(nx), k):
-            base = all_diag - float(diag_x[list(xs)].sum())
+            # Sums of nonnegative costs only, so a zero distance stays 0.0
+            # and a small one keeps its relative accuracy under the root.
+            base = sum((diag_x[i] for i in range(nx) if i not in xs), 0.0)
             for ys in permutations(range(ny), k):
-                total = base - float(diag_y[list(ys)].sum())
+                total = base + sum((diag_y[j] for j in range(ny) if j not in ys), 0.0)
                 for xi, yj in zip(xs, ys):
-                    total += float(cross[xi, yj])
-                if total < best:
-                    best = total
+                    total += cross[xi][yj]
+                best = min(best, total)
     return best if q == 1 else float(np.sqrt(best))
 
 
@@ -218,8 +297,6 @@ def alexandrov_geodesic(
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"geodesic parameter must be in [0, 1], got {s}")
-    if x.homology_dim != y.homology_dim:
-        raise ValueError("diagrams have different homology dimensions")
     _, matching = wasserstein(x, y, q=2)
     out = []
     for i, j in matching.pairs:

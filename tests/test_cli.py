@@ -12,9 +12,11 @@ from persphere.embedding import write_cloud
 from persphere.errors import ParseError
 from persphere.persistence import (
     PersistenceDiagram,
+    normalize_diagram,
     read_diagram,
     write_diagrams,
 )
+from persphere.wasserstein import brute_force
 
 
 def run(*argv):
@@ -152,6 +154,37 @@ def test_dist_hilbert_and_w1(tmp_path, capsys):
     assert float(capsys.readouterr().out.strip()) < 1e-6
     assert run("dist", "--a", a, "--b", b, "--metric", "w1") == 0
     assert float(capsys.readouterr().out.strip()) == 0.0
+
+
+def test_dim0_matching_commands(tmp_path, capsys):
+    # H0 files as `persist` writes them: finite bars born at 0 plus one
+    # essential bar, which normalization caps at death 1.
+    rng = np.random.default_rng(12)
+    paths = []
+    for i in range(4):
+        p = tmp_path / f"h{i}.csv"
+        deaths = rng.uniform(0.05, 0.9, 3)
+        write_diagrams(p, [PersistenceDiagram(0, np.column_stack([np.zeros(3), deaths]), [0.0])])
+        paths.append(p)
+    a, b = paths[:2]
+    x, y = (normalize_diagram(read_diagram(p, 0), 1.0) for p in (a, b))
+    for metric, q in (("w1", 1), ("w2", 2)):
+        assert run("dist", "--a", a, "--b", b, "--metric", metric, "--dim", 0,
+                   "--scale", 1.0) == 0
+        assert abs(float(capsys.readouterr().out) - brute_force(x, y, q)) <= 1e-12
+    out = tmp_path / "dm.csv"
+    assert run("distmat", "--inputs", *paths, "--metric", "w2", "--dim", 0,
+               "--output", out) == 0
+    values = read_matrix(out, "w2").values
+    assert values.shape == (4, 4)
+    assert np.array_equal(values, values.T)
+    assert np.all(np.diag(values) == 0.0)
+    assert np.all(values[~np.eye(4, dtype=bool)] > 0.0)
+    geo = tmp_path / "geo"
+    assert run("geodesic", "--from", a, "--to", b, "--steps", 3, "--space",
+               "alexandrov", "--dim", 0, "--output-dir", geo) == 0
+    mid = read_diagram(geo / "step_001.csv", 0)
+    assert mid.pairs.shape[0] > 0 and np.all(mid.pairs[:, 0] == 0.0)
 
 
 def test_geodesic_endpoints_match_density(tmp_path):

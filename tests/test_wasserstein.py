@@ -1,6 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
 
+from persphere.analysis import random_diagram
 from persphere.persistence import PersistenceDiagram
 from persphere.wasserstein import (
     DIAGONAL,
@@ -8,6 +11,9 @@ from persphere.wasserstein import (
     brute_force,
     wasserstein,
 )
+
+# The package re-exports the function under the module's name.
+W = importlib.import_module("persphere.wasserstein")
 
 
 def _pd(points):
@@ -159,3 +165,132 @@ def test_alexandrov_arc_length():
         for s in (0.25, 0.5, 0.75):
             g = alexandrov_geodesic(x, y, s)
             assert wasserstein(x, g, 2)[0] == pytest.approx(s * d, abs=1e-6)
+
+
+# Diagrams on one birth line take the alignment path; the oracles below are
+# the exhaustive minimum and the Hungarian solve on the same costs.
+
+
+def _line_pd(birth, deaths):
+    deaths = np.asarray(deaths, dtype=float)
+    return PersistenceDiagram(0, np.column_stack([np.full(deaths.size, birth), deaths]))
+
+
+def _line_deaths(rng, birth, n):
+    # Deaths on a coarse grid, so ties within and across diagrams are common.
+    step = float(rng.choice([0.05, 0.1, 0.25]))
+    return birth + step * rng.integers(1, 6, n)
+
+
+def _assert_covers(matching, nx, ny):
+    xs = sorted(i for i, _ in matching.pairs if i is not None)
+    ys = sorted(j for _, j in matching.pairs if j is not None)
+    assert xs == list(range(nx))
+    assert ys == list(range(ny))
+
+
+@pytest.mark.parametrize("birth", [0.0, 0.3])
+def test_line_path_agrees_with_brute_force(birth):
+    rng = np.random.default_rng(41)
+    for nx in range(9):
+        for ny in range(9 - nx):
+            for _ in range(3):
+                x = _line_pd(birth, _line_deaths(rng, birth, nx))
+                y = _line_pd(birth, _line_deaths(rng, birth, ny))
+                for q in (1, 2):
+                    d, matching = wasserstein(x, y, q)
+                    assert abs(d - brute_force(x, y, q)) <= 1e-12
+                    assert matching.cost == d
+                    _assert_covers(matching, nx, ny)
+
+
+def test_line_path_closed_forms():
+    x = _line_pd(0.0, [0.25, 0.5, 0.5])
+    empty = _line_pd(0.0, [])
+    assert wasserstein(x, empty, 1)[0] == 1.25
+    assert wasserstein(empty, x, 2)[0] == pytest.approx(np.sqrt(0.5625 / 2), abs=1e-15)
+    assert [j for _, j in wasserstein(empty, x, 1)[1].pairs] == [0, 1, 2]
+    assert wasserstein(x, x, 2)[0] == 0.0
+    # The same multiset in another order: the oracle must not cancel
+    # its way to a tiny negative sum and a NaN root.
+    z = _line_pd(0.0, 0.05 * np.array([2, 5, 3]))
+    z_back = _line_pd(0.0, z.pairs[::-1, 1])
+    assert brute_force(z, z_back, 2) == 0.0
+    assert wasserstein(z, z_back, 2)[0] == 0.0
+    # Sorted pairing: 0.25 with 0.3 and 0.5 with 0.45, not crosswise.
+    y = _line_pd(0.0, [0.45, 0.3])
+    d, matching = wasserstein(_line_pd(0.0, [0.5, 0.25]), y, 1)
+    assert matching.pairs == [(0, 0), (1, 1)]
+    assert d == pytest.approx(0.1, abs=1e-15)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_line_path_agrees_with_hungarian(q):
+    rng = np.random.default_rng(43)
+    for nx, ny, tied in ((45, 40, False), (30, 45, True), (12, 0, False), (20, 21, True)):
+        birth = 0.0 if nx % 2 else 0.2
+        if tied:
+            dx, dy = _line_deaths(rng, birth, nx), _line_deaths(rng, birth, ny)
+        else:
+            dx = birth + rng.uniform(0.01, 0.8, nx)
+            dy = birth + rng.uniform(0.01, 0.8, ny)
+        x, y = _line_pd(birth, dx), _line_pd(birth, dy)
+        d, matching = wasserstein(x, y, q)
+        costs = W._assignment_costs(x.pairs, y.pairs, q)
+        ref, _ = W._decode(W._hungarian_partners(*costs), *costs, q)
+        assert abs(d - ref) <= 1e-12 * ref
+        _assert_covers(matching, nx, ny)
+
+
+def test_dispatch_by_shared_birth(monkeypatch):
+    solve = W._solve_assignment
+    calls = []
+
+    def counting(cost):
+        calls.append(cost.shape[0])
+        return solve(cost)
+
+    monkeypatch.setattr(W, "_solve_assignment", counting)
+    # Shaped like acceptance criterion 2: small diagrams, births U(0, 0.6).
+    rng = np.random.default_rng(2024)
+    x, y = _random_pd(rng, 4), _random_pd(rng, 3)
+    d1, m1 = wasserstein(x, y, 1)
+    d2, m2 = wasserstein(x, y, 2)
+    assert d1 == 0.6296865841893864
+    assert m1.pairs == [(0, 2), (1, 1), (2, 0), (3, None)]
+    assert d2 == 0.2681164297377276
+    assert m2.pairs == [(0, 2), (1, 1), (2, None), (3, None), (None, 0)]
+    # Shaped like criterion 5: random_diagram pairs of 20 points.
+    rng = np.random.default_rng(5)
+    x, y = random_diagram(rng, 20), random_diagram(rng, 20)
+    d1, m1 = wasserstein(x, y, 1)
+    d2, m2 = wasserstein(x, y, 2)
+    assert d1 == 1.7895085503279464
+    assert [j for _, j in m1.pairs] == [
+        18, 1, 5, 2, 10, 6, 12, 17, 8, 15, 16, None, 14, 13, 9, 11, 0, 3, 19, 7, 4
+    ]
+    assert d2 == 0.38789574483401923
+    assert [j for _, j in m2.pairs] == [
+        11, 1, 5, 2, 10, 6, 12, 17, 8, None, 16, None, 3, 15, 9, 18, 0, 14, 19, 7, 4, 13
+    ]
+    assert calls == [7, 7, 40, 40]
+
+    def forbidden(cost):
+        raise AssertionError("equal births must not reach the Hungarian solve")
+
+    monkeypatch.setattr(W, "_solve_assignment", forbidden)
+    for birth in (0.0, 0.4):
+        x = _line_pd(birth, birth + rng.uniform(0.01, 0.5, 30))
+        y = _line_pd(birth, birth + rng.uniform(0.01, 0.5, 25))
+        for q in (1, 2):
+            wasserstein(x, y, q)
+        alexandrov_geodesic(x, y, 0.5)
+
+
+def test_homology_dimensions_must_agree():
+    h0 = _line_pd(0.0, [0.5])
+    h1 = _pd([[0.2, 0.6]])
+    with pytest.raises(ValueError, match="homology dimensions"):
+        wasserstein(h0, h1, 1)
+    with pytest.raises(ValueError, match="homology dimensions"):
+        alexandrov_geodesic(h1, h0, 0.5)
