@@ -111,8 +111,10 @@ def knn_classify(dists, train_labels, k: int = 1) -> list:
     """
     Majority vote over the k nearest training items per row of `dists`.
 
-    `dists` has shape (n_test, n_train). Vote ties break by the smallest
-    summed distance within the k nearest, then by label sort order.
+    `dists` has shape (n_test, n_train). The k nearest are those a stable
+    sort of the row puts first, so equal distances go to the lower column.
+    Vote ties break by the smallest summed distance within the k nearest,
+    then by label sort order. NaN distances are rejected.
     """
     dists = np.asarray(dists, dtype=float)
     if dists.ndim == 1:
@@ -125,11 +127,17 @@ def knn_classify(dists, train_labels, k: int = 1) -> list:
         raise ValueError("label count does not match distance columns")
     if not 1 <= k <= n_train:
         raise ValueError(f"k must be in [1, {n_train}], got {k}")
+    if np.isnan(dists).any():
+        raise ValueError("distances contain NaN")
+    # np.argmin returns the first minimum, the item a stable sort puts first.
+    if k == 1:
+        nearest = np.argmin(dists, axis=1)[:, None]
+    else:
+        nearest = np.argsort(dists, axis=1, kind="stable")[:, :k]
     predictions = []
-    for row in dists:
-        nearest = np.argsort(row, kind="stable")[:k]
+    for row, idxs in zip(dists, nearest.tolist()):
         votes: dict = {}
-        for idx in nearest:
+        for idx in idxs:
             label = train_labels[idx]
             count, total = votes.get(label, (0, 0.0))
             votes[label] = (count + 1, total + float(row[idx]))
@@ -139,26 +147,34 @@ def knn_classify(dists, train_labels, k: int = 1) -> list:
 
 
 def loo_knn_accuracy(matrix: DistanceMatrix, labels, k: int = 1) -> float:
-    """Leave-one-out k-NN accuracy over a square distance matrix."""
+    """
+    Leave-one-out k-NN accuracy over a square distance matrix.
+
+    Each item is classified by the k nearest of the other n - 1, so k must
+    be in [1, n - 1].
+    """
     labels = list(labels)
     n = len(labels)
     if matrix.values.shape[0] != n:
         raise ValueError("label count does not match the matrix")
-    hits = 0
-    for i in range(n):
-        row = matrix.values[i].copy()
-        row[i] = np.inf
-        pred = knn_classify(row, labels, k)[0]
-        hits += pred == labels[i]
-    return hits / n
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
+    dists = matrix.values.copy()
+    np.fill_diagonal(dists, np.inf)
+    predictions = knn_classify(dists, labels, k)
+    return sum(p == lab for p, lab in zip(predictions, labels)) / n
 
 
 def pga_features(densities, n_components: int):
-    """Fit a PGA model and return it with the training coordinates."""
-    densities = list(densities)
-    model = sphere.pga(densities, n_components)
-    coords = np.stack([sphere.project_coords(model, d) for d in densities])
-    return model, coords
+    """
+    Fit a PGA model and return it with the training coordinates.
+
+    The coordinates are those `sphere.project_coords` gives, computed in one
+    product from the tangent lifts the fit already made.
+    """
+    model, lifts = sphere._pga_with_lifts(densities, n_components)
+    components = np.stack([comp.values.ravel() for comp in model.components])
+    return model, (lifts @ components.T) / lifts.shape[1]
 
 
 def loo_regression(features, scores):

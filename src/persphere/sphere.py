@@ -20,6 +20,8 @@ from .density import SqrtDensity, read_grid, write_grid
 TANGENCY_TOL = 1e-8
 ORTHONORMAL_TOL = 1e-8
 CLAMP_DIAGNOSTIC = 1e-12
+EIG_TOL = 1e-13
+EIG_MAX_ITER = 64
 
 
 def inner(a, b) -> float:
@@ -198,33 +200,71 @@ class PgaModel:
         return len(self.components)
 
 
+def top_eigenpairs(matrix, k: int):
+    """
+    The k largest eigenpairs of a symmetric positive semidefinite matrix.
+
+    Block subspace iteration with a Rayleigh-Ritz step: a block of
+    min(n, 2k + 8) orthonormal columns, started from a fixed seed (no global
+    random state is read or changed), is multiplied by the matrix; the
+    matrix compressed to the block is diagonalized by `np.linalg.eigh`, and
+    the block is replaced by the orthonormalized images of its Ritz vectors.
+    It stops once every kept pair has residual |A x - lam x| <= EIG_TOL
+    times the largest Ritz value in magnitude. A block as wide as the matrix
+    is exact after one step. If EIG_MAX_ITER steps do not get there, the
+    result comes from a full `np.linalg.eigh`. Returns (values, vectors):
+    values nonincreasing, vectors as orthonormal columns, signs arbitrary.
+    """
+    a = np.asarray(matrix, dtype=float)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    start = np.random.default_rng(0).standard_normal((n, min(n, 2 * k + 8)))
+    basis = np.linalg.qr(start)[0]
+    for _ in range(EIG_MAX_ITER):
+        image = a @ basis
+        small = basis.T @ image
+        values, rotation = np.linalg.eigh((small + small.T) / 2)
+        values, rotation = values[::-1], rotation[:, ::-1]
+        image = image @ rotation
+        vectors = basis @ rotation
+        residual = np.linalg.norm(image[:, :k] - vectors[:, :k] * values[:k], axis=0)
+        if residual.max() <= EIG_TOL * np.abs(values).max():
+            return values[:k], vectors[:, :k]
+        basis = np.linalg.qr(image)[0]
+    values, vectors = np.linalg.eigh(a)
+    return values[::-1][:k], vectors[:, ::-1][:, :k]
+
+
+def _canonical_sign(direction: np.ndarray) -> np.ndarray:
+    # A component and its negation span the same geodesic; fix the sign so
+    # that the first cell of largest magnitude is positive.
+    return -direction if direction.flat[np.argmax(np.abs(direction))] < 0 else direction
+
+
 def _complete_direction(mean: SqrtDensity, taken: list[np.ndarray]) -> np.ndarray:
     # Deterministic unit tangent direction for degenerate (zero-variance)
-    # modes: Gram-Schmidt single cell indicators against mean and the
-    # directions already chosen.
+    # modes: the first cell indicator farther than 1e-9 (grid norm) from the
+    # span of the mean and the directions already taken, minus its
+    # projection on that span. One QR gives the span's orthonormal basis.
     k = mean.grid_size
-    for flat in range(k * k):
-        cand = np.zeros((k, k))
-        cand.flat[flat] = 1.0
-        cand -= inner(cand, mean.grid) * mean.grid
-        for other in taken:
-            cand -= inner(cand, other) * other
-        norm = grid_norm(cand)
-        if norm > 1e-9:
-            return cand / norm
-    raise ValueError("could not complete an orthonormal tangent direction")
+    span = np.linalg.qr(np.column_stack([mean.grid.ravel()] + [t.ravel() for t in taken]))[0]
+    # Squared Euclidean distance of every cell indicator from the span.
+    gaps = 1.0 - np.einsum("ij,ij->i", span, span)
+    far = np.flatnonzero(gaps > (1e-9 * k) ** 2)
+    if far.size == 0:
+        raise ValueError("could not complete an orthonormal tangent direction")
+    cand = -(span @ span[far[0]])
+    cand[far[0]] += 1.0
+    return (cand / grid_norm(cand)).reshape(k, k)
 
 
-def pga(densities, n_components: int) -> PgaModel:
-    """
-    Principal geodesic analysis of a set of sqrt-densities.
-
-    Lifts every density to the tangent space at the extrinsic mean and runs
-    PCA there: the centered tangent vectors' Gram matrix (sample covariance
-    under the discrete inner product) is eigendecomposed, giving orthonormal
-    tangent components with nonincreasing variances. Directions beyond the
-    data rank get variance 0 and a deterministic orthonormal completion.
-    """
+def _pga_with_lifts(densities, n_components: int) -> tuple[PgaModel, np.ndarray]:
+    # The model of `pga`, plus the (n, K^2) log-map lifts of the densities at
+    # its mean, from which the training coordinates follow without lifting
+    # again.
     densities = list(densities)
     n = len(densities)
     if n < 2:
@@ -235,32 +275,47 @@ def pga(densities, n_components: int) -> PgaModel:
         raise ValueError(
             f"n_components must be in [1, {min(n - 1, k * k)}], got {n_components}"
         )
-    lifts = np.stack([log_map(mean, d).values for d in densities])
+    lifts = np.empty((n, k * k))
+    for i, d in enumerate(densities):
+        lifts[i] = log_map(mean, d).values.ravel()
     centered = lifts - lifts.mean(axis=0)
-    flat = centered.reshape(n, -1)
-    gram = (flat @ flat.T) / (k * k)
-    eigvals, eigvecs = np.linalg.eigh(gram / n)
-    order = np.argsort(eigvals, kind="stable")[::-1]
+    gram = centered @ centered.T
+    gram /= k * k
+    gram /= n
+    eigvals, eigvecs = top_eigenpairs(gram, n_components)
 
     components: list[TangentVector] = []
     taken: list[np.ndarray] = []
     variances = []
-    for rank_idx in range(n_components):
-        lam = float(eigvals[order[rank_idx]]) if rank_idx < order.size else 0.0
-        direction = None
-        if lam > 0:
-            weights = eigvecs[:, order[rank_idx]]
-            combo = np.tensordot(weights, centered, axes=(0, 0))
-            norm = grid_norm(combo)
-            if norm > 1e-12:
-                direction = combo / norm
-        if direction is None:
+    for lam, combo in zip(eigvals.tolist(), eigvecs.T @ centered):
+        norm = grid_norm(combo)
+        if lam > 0 and norm > 1e-12:
+            direction = (combo / norm).reshape(k, k)
+        else:
             lam = 0.0
             direction = _complete_direction(mean, taken)
+        direction = _canonical_sign(direction)
         taken.append(direction)
-        variances.append(max(lam, 0.0))
+        variances.append(lam)
         components.append(TangentVector(mean, direction))
-    return PgaModel(mean=mean, components=components, variances=np.asarray(variances))
+    model = PgaModel(mean=mean, components=components, variances=np.asarray(variances))
+    return model, lifts
+
+
+def pga(densities, n_components: int) -> PgaModel:
+    """
+    Principal geodesic analysis of a set of sqrt-densities.
+
+    Lifts every density to the tangent space at the extrinsic mean and runs
+    PCA there: the top `n_components` eigenpairs of the centered tangent
+    vectors' Gram matrix (sample covariance under the discrete inner
+    product) come from `top_eigenpairs`, giving orthonormal tangent
+    components with nonincreasing variances. Directions beyond the data
+    rank get variance 0 and a deterministic orthonormal completion. Each
+    component's sign is fixed so that its first cell of largest magnitude
+    is positive, so the output does not depend on the eigensolver's signs.
+    """
+    return _pga_with_lifts(densities, n_components)[0]
 
 
 def project_coords(model: PgaModel, psi: SqrtDensity) -> np.ndarray:

@@ -110,6 +110,43 @@ def test_loo_knn_accuracy_perfect_on_tight_clusters():
     assert loo_knn_accuracy(dm, labels, k=1) == 1.0
 
 
+def _knn_reference(dists, labels, k):
+    # One stable argsort per row: the per-row form knn_classify must equal.
+    predictions = []
+    for row in np.asarray(dists, dtype=float):
+        votes = {}
+        for idx in np.argsort(row, kind="stable")[:k]:
+            count, total = votes.get(labels[idx], (0, 0.0))
+            votes[labels[idx]] = (count + 1, total + float(row[idx]))
+        predictions.append(min(votes, key=lambda lab: (-votes[lab][0], votes[lab][1], str(lab))))
+    return predictions
+
+
+def test_knn_matches_per_row_stable_sort():
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        n_test, n_train = int(rng.integers(1, 8)), int(rng.integers(1, 12))
+        # Few distinct values, some infinite: ties everywhere.
+        dists = rng.integers(0, 4, (n_test, n_train)).astype(float)
+        dists[rng.random(dists.shape) < 0.1] = np.inf
+        labels = [str(lab) for lab in rng.choice(["a", "b", "c"], n_train)]
+        for k in range(1, n_train + 1):
+            assert knn_classify(dists, labels, k) == _knn_reference(dists, labels, k)
+    with pytest.raises(ValueError):
+        knn_classify(np.array([[0.1, np.nan]]), ["a", "b"], k=1)
+
+
+def test_loo_knn_excludes_the_held_out_item():
+    # With k = n the held-out item would vote for its own label.
+    values = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
+    dm = DistanceMatrix(["p", "q", "r"], values, "hilbert")
+    labels = ["x", "x", "y"]
+    for k in (0, 3):
+        with pytest.raises(ValueError):
+            loo_knn_accuracy(dm, labels, k)
+    assert loo_knn_accuracy(dm, labels, k=2) == pytest.approx(2 / 3)
+
+
 def test_pga_features_consistency():
     rng = np.random.default_rng(7)
     psis = [

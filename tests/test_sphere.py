@@ -15,7 +15,9 @@ from persphere.sphere import (
     log_map,
     pga,
     project_coords,
+    EIG_MAX_ITER,
     save_pga_model,
+    top_eigenpairs,
     zero_tangent,
 )
 
@@ -295,3 +297,93 @@ def test_pga_model_io(tmp_path):
     for a, b in zip(back.components, model.components):
         assert np.abs(a.values - b.values).max() < 1e-15
     assert np.allclose(back.variances, model.variances)
+
+
+def _seeded_gram(seed, spectrum):
+    n = len(spectrum)
+    basis = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
+    gram = (basis * np.asarray(spectrum, dtype=float)) @ basis.T
+    return (gram + gram.T) / 2
+
+
+# (n, k, spectrum); n = 60 is wider than the block 2k + 8, n = 10 is not.
+# Only the linear spectrum decays too slowly to converge within the cap.
+EIG_CASES = {
+    "well_separated": (60, 5, 2.0 ** -np.arange(60)),
+    "slow_power_law": (60, 5, (1.0 + np.arange(60)) ** -0.5),
+    "slow_linear": (60, 5, 1.0 - np.arange(60) / 120.0),
+    "repeated_at_cut": (60, 5, [5.0, 4.0, 3.0, 2.0, 1.0, 1.0, 1.0] + [0.5 ** i for i in range(1, 54)]),
+    "rank_deficient": (60, 5, [3.0, 2.0, 1.0] + [0.0] * 57),
+    "all_zero": (60, 5, [0.0] * 60),
+    "n_within_block": (10, 3, [4.0, 2.5, 1.5, 1.0, 0.7, 0.4, 0.2, 0.1, 0.05, 0.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EIG_CASES))
+def test_top_eigenpairs_matches_full_eigh(case, monkeypatch):
+    n, k, spectrum = EIG_CASES[case]
+    gram = _seeded_gram(sorted(EIG_CASES).index(case), spectrum)
+    want_vals, want_vecs = np.linalg.eigh(gram)
+    want_vals, want_vecs = want_vals[::-1], want_vecs[:, ::-1]
+    eigh, calls = np.linalg.eigh, []
+
+    def counted_eigh(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    values, vectors = top_eigenpairs(gram, k)
+    # One eigh per iteration; one more means the full-eigh fallback ran.
+    assert (len(calls) > EIG_MAX_ITER) == (case == "slow_linear")
+    lmax = abs(want_vals[0])
+    assert values.shape == (k,) and vectors.shape == (n, k)
+    assert np.all(np.diff(values) <= 0)
+    assert np.abs(values - want_vals[:k]).max() <= 1e-12 * lmax
+    assert np.abs(vectors.T @ vectors - np.eye(k)).max() <= 1e-12
+    # Walk the clusters of equal eigenvalues that reach into the top k.
+    i = 0
+    while i < k:
+        j = i + 1
+        while j < n and want_vals[j] >= want_vals[i] - 1e-9 * lmax:
+            j += 1
+        space, got = want_vecs[:, i:j], vectors[:, i:min(j, k)]
+        if j - i == 1:
+            # A clear gap: the vector itself, up to sign.
+            sign = np.sign(space[:, 0] @ got[:, 0])
+            assert np.abs(sign * got[:, 0] - space[:, 0]).max() <= 1e-9
+        elif j <= k:
+            # A repeated eigenvalue kept whole: its spectral projector.
+            assert np.abs(got @ got.T - space @ space.T).max() <= 1e-9
+        else:
+            # A repeated eigenvalue split by the cut: any vectors of it.
+            assert np.abs(got - space @ (space.T @ got)).max() <= 1e-9
+        i = j
+
+
+def test_top_eigenpairs_guards():
+    with pytest.raises(ValueError):
+        top_eigenpairs(np.zeros((3, 4)), 1)
+    for k in (0, 4):
+        with pytest.raises(ValueError):
+            top_eigenpairs(np.eye(3), k)
+
+
+def test_pga_is_deterministic_with_canonical_signs():
+    # 30 densities and 3 components: wider than the solver's block of 14,
+    # so the iterative path runs, not the one-step exact one.
+    psis = _random_psis(18, 30)
+    state = np.random.get_state()
+    try:
+        first = pga(psis, 3)
+        np.random.seed(12345)
+        np.random.standard_normal(100)
+        second = pga(psis, 3)
+    finally:
+        np.random.set_state(state)
+    assert np.array_equal(first.variances, second.variances)
+    for a, b in zip(first.components, second.components):
+        assert np.array_equal(a.values, b.values)
+    degenerate = pga([psis[0]] * 3, 2)
+    for comp in first.components + degenerate.components:
+        flat = comp.values.ravel()
+        assert flat[np.argmax(np.abs(flat))] > 0
