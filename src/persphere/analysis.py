@@ -3,7 +3,6 @@ regression, timing comparisons, and the synthetic 3-class benchmark."""
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, asdict
 
@@ -11,7 +10,7 @@ import numpy as np
 
 from . import sphere
 from .density import PersistencePdf, sqrt_transform
-from .errors import ParseError, read_csv
+from .errors import ParseError, read_csv, read_json, write_csv, write_json
 from .persistence import PersistenceDiagram, diagram_of_cloud
 from .wasserstein import wasserstein
 
@@ -247,19 +246,12 @@ class BenchReport:
 
 
 def write_bench_report(path, report: BenchReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report.to_dict())
 
 
 def read_bench_report(path) -> BenchReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     try:
-        return BenchReport(**payload)
+        return BenchReport(**read_json(path))
     except TypeError as exc:
         raise ParseError(f"{path}: not a benchmark report: {exc}") from exc
 
@@ -424,10 +416,7 @@ def synthetic_clouds(
 
 def write_matrix(path, matrix: DistanceMatrix) -> None:
     """CSV with a label header row and a label column."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("," + ",".join(matrix.labels) + "\n")
-        for label, row in zip(matrix.labels, matrix.values):
-            fh.write(label + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    write_csv(path, matrix.values, ["", *matrix.labels], [[label] for label in matrix.labels])
 
 
 def read_matrix(path, metric: str = "hilbert") -> DistanceMatrix:

@@ -8,14 +8,13 @@ Errors print a single line `error: <kind>: <detail>` on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 import numpy as np
 
 from . import analysis, density, embedding, persistence, sphere
-from .errors import ParseError, read_csv
+from .errors import ParseError, read_csv, write_csv, write_json
 from .wasserstein import alexandrov_geodesic, wasserstein
 
 EXIT_OK = 0
@@ -38,12 +37,6 @@ class _Parser(argparse.ArgumentParser):
         raise _CliParameterError(message)
 
 
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _global_scale(diagrams) -> float:
     scale = max(d.max_finite() for d in diagrams)
     if scale <= 0:
@@ -53,30 +46,42 @@ def _global_scale(diagrams) -> float:
     return scale
 
 
-def _densify(diagrams, scale: float, sigma: float, grid_size: int, names=None):
+def _read_inputs(args, paths, as_density=True):
+    """
+    The --dim diagram of each path, normalized by one scale: --scale, or
+    else the largest finite coordinate across all of them. Returns the
+    scale and, per path, its KDE grid (`as_density`) or normalized diagram.
+    """
+    diagrams = [persistence.read_diagram(p, args.dim) for p in paths]
+    scale = args.scale if args.scale is not None else _global_scale(diagrams)
     normalized = [persistence.normalize_diagram(d, scale) for d in diagrams]
+    if not as_density:
+        return scale, normalized
     pdfs = []
-    for idx, pd in enumerate(normalized):
+    for path, pd in zip(paths, normalized):
         try:
-            pdfs.append(density.kde(pd, sigma, grid_size))
+            pdfs.append(density.kde(pd, args.sigma, args.grid))
         except density.EmptyDiagramError as exc:
-            name = names[idx] if names else f"input {idx}"
             raise density.EmptyDiagramError(
-                f"{name}: no density: {exc}; a larger --scale keeps capped "
+                f"{path}: no density: {exc}; a larger --scale keeps capped "
                 "essential bars off the diagonal"
             ) from exc
-    return pdfs
+    return scale, pdfs
 
 
-def _add_density_args(sub, with_scale=True):
+def _add_input_args(sub):
+    sub.add_argument("--dim", type=int, default=1, choices=(0, 1))
     sub.add_argument("--sigma", type=float, default=DEFAULT_SIGMA,
                      help=f"kernel bandwidth (default {DEFAULT_SIGMA})")
     sub.add_argument("--grid", type=int, default=DEFAULT_GRID,
                      help=f"grid resolution K (default {DEFAULT_GRID})")
-    if with_scale:
-        sub.add_argument("--scale", type=float, default=None,
-                         help="normalization scale (default: max finite death "
-                              "across the inputs)")
+    sub.add_argument("--scale", type=float, default=None,
+                     help="normalization scale (default: max finite death "
+                          "across the inputs)")
+
+
+def _name(path) -> str:
+    return os.path.splitext(os.path.basename(path))[0]
 
 
 def _cmd_embed(args) -> int:
@@ -101,26 +106,18 @@ def _cmd_persist(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    pd = persistence.read_diagram(args.input, args.dim)
-    scale = args.scale if args.scale is not None else _global_scale([pd])
-    pdf = _densify([pd], scale, args.sigma, args.grid, names=[args.input])[0]
+    scale, (pdf,) = _read_inputs(args, [args.input])
     density.write_grid(args.output, pdf.grid)
     print(f"grid {args.grid}x{args.grid} sigma={args.sigma} scale={scale:.17g}")
     return EXIT_OK
 
 
 def _cmd_dist(args) -> int:
-    pa = persistence.read_diagram(args.a, args.dim)
-    pb = persistence.read_diagram(args.b, args.dim)
-    scale = args.scale if args.scale is not None else _global_scale([pa, pb])
+    _, items = _read_inputs(args, [args.a, args.b], args.metric == "hilbert")
     if args.metric == "hilbert":
-        pdfs = _densify([pa, pb], scale, args.sigma, args.grid, names=[args.a, args.b])
-        value = sphere.distance(*(density.sqrt_transform(p) for p in pdfs))
+        value = sphere.distance(*(density.sqrt_transform(p) for p in items))
     else:
-        q = 1 if args.metric == "w1" else 2
-        na = persistence.normalize_diagram(pa, scale)
-        nb = persistence.normalize_diagram(pb, scale)
-        value, _ = wasserstein(na, nb, q)
+        value, _ = wasserstein(*items, 1 if args.metric == "w1" else 2)
     print(f"{value:.17g}")
     return EXIT_OK
 
@@ -128,7 +125,7 @@ def _cmd_dist(args) -> int:
 def _group_inputs(paths, groups_file):
     """Item names with their per-channel diagram paths."""
     if groups_file is None:
-        return [(os.path.splitext(os.path.basename(p))[0], [p]) for p in paths]
+        return [(_name(p), [p]) for p in paths]
     grouped: dict[str, list[str]] = {}
     for name, path in read_csv(groups_file, "name,path", text=2).text:
         grouped.setdefault(name, []).append(path)
@@ -145,29 +142,21 @@ def _cmd_distmat(args) -> int:
     if len(items) < 2:
         raise _CliParameterError("need at least 2 items")
     labels = [name for name, _ in items]
-    n_channels = len(items[0][1])
+    n, n_channels = len(items), len(items[0][1])
+    scale, loaded = _read_inputs(
+        args, [paths[ch] for ch in range(n_channels) for _, paths in items],
+        args.metric == "hilbert",
+    )
+    # Channelwise matrices aggregated by mean distance across channels.
     per_channel = [
-        [persistence.read_diagram(paths[ch], args.dim) for name, paths in items]
+        analysis.distance_matrix(loaded[ch * n:(ch + 1) * n], args.metric, labels).values
         for ch in range(n_channels)
     ]
-    all_diagrams = [d for channel in per_channel for d in channel]
-    scale = args.scale if args.scale is not None else _global_scale(all_diagrams)
-
-    # Channelwise matrices aggregated by mean distance across channels.
-    total = None
-    for channel in per_channel:
-        if args.metric == "hilbert":
-            pdfs = _densify(channel, scale, args.sigma, args.grid, names=labels)
-            dm = analysis.distance_matrix(pdfs, "hilbert", labels)
-        else:
-            normalized = [persistence.normalize_diagram(d, scale) for d in channel]
-            dm = analysis.distance_matrix(normalized, args.metric, labels)
-        total = dm.values if total is None else total + dm.values
-    values = total / n_channels
+    values = sum(per_channel[1:], per_channel[0]) / n_channels
     matrix = analysis.DistanceMatrix(labels=labels, values=values, metric=args.metric)
     analysis.write_matrix(args.output, matrix)
     if args.manifest:
-        _write_json(args.manifest, {
+        write_json(args.manifest, {
             "metric": args.metric,
             "dim": args.dim,
             "sigma": args.sigma,
@@ -181,47 +170,36 @@ def _cmd_distmat(args) -> int:
 
 
 def _cmd_geodesic(args) -> int:
-    pa = persistence.read_diagram(args.from_path, args.dim)
-    pb = persistence.read_diagram(args.to_path, args.dim)
+    paths = [args.from_path, args.to_path]
+    if args.space == "sphere":
+        _, pdfs = _read_inputs(args, paths)
+        psi_a, psi_b = (density.sqrt_transform(p) for p in pdfs)
+    else:
+        pa, pb = (persistence.read_diagram(p, args.dim) for p in paths)
     if args.steps < 2:
         raise _CliParameterError(f"--steps must be >= 2, got {args.steps}")
     os.makedirs(args.output_dir, exist_ok=True)
-    fractions = [i / (args.steps - 1) for i in range(args.steps)]
-    if args.space == "sphere":
-        scale = args.scale if args.scale is not None else _global_scale([pa, pb])
-        pdfs = _densify([pa, pb], scale, args.sigma, args.grid,
-                        names=[args.from_path, args.to_path])
-        psi_a, psi_b = (density.sqrt_transform(p) for p in pdfs)
-        for i, s in enumerate(fractions):
-            point = sphere.geodesic(psi_a, psi_b, s)
-            pdf = density.to_pdf(point)
-            density.write_grid(os.path.join(args.output_dir, f"step_{i:03d}.csv"), pdf.grid)
-    else:
-        for i, s in enumerate(fractions):
-            step = alexandrov_geodesic(pa, pb, s)
-            persistence.write_diagrams(
-                os.path.join(args.output_dir, f"step_{i:03d}.csv"), [step]
-            )
+    for i in range(args.steps):
+        s = i / (args.steps - 1)
+        path = os.path.join(args.output_dir, f"step_{i:03d}.csv")
+        if args.space == "sphere":
+            density.write_grid(path, density.to_pdf(sphere.geodesic(psi_a, psi_b, s)).grid)
+        else:
+            persistence.write_diagrams(path, [alexandrov_geodesic(pa, pb, s)])
     print(f"{args.steps} steps ({args.space}) -> {args.output_dir}")
     return EXIT_OK
 
 
 def _cmd_mean(args) -> int:
-    diagrams = [persistence.read_diagram(p, args.dim) for p in args.inputs]
-    if not diagrams:
-        raise _CliParameterError("need at least 1 input diagram")
-    scale = args.scale if args.scale is not None else _global_scale(diagrams)
-    pdfs = _densify(diagrams, scale, args.sigma, args.grid, names=args.inputs)
+    _, pdfs = _read_inputs(args, args.inputs)
     mean = sphere.extrinsic_mean([density.sqrt_transform(p) for p in pdfs])
     density.write_grid(args.output, density.to_pdf(mean).grid)
-    print(f"mean of {len(diagrams)} densities -> {args.output}")
+    print(f"mean of {len(pdfs)} densities -> {args.output}")
     return EXIT_OK
 
 
 def _cmd_pga(args) -> int:
-    diagrams = [persistence.read_diagram(p, args.dim) for p in args.inputs]
-    scale = args.scale if args.scale is not None else _global_scale(diagrams)
-    pdfs = _densify(diagrams, scale, args.sigma, args.grid, names=args.inputs)
+    scale, pdfs = _read_inputs(args, args.inputs)
     psis = [density.sqrt_transform(p) for p in pdfs]
     model, coords = analysis.pga_features(psis, args.components)
     sphere.save_pga_model(model, args.output_dir, metadata={
@@ -229,11 +207,9 @@ def _cmd_pga(args) -> int:
         "scale": scale,
         "dim": args.dim,
     })
-    names = [os.path.splitext(os.path.basename(p))[0] for p in args.inputs]
-    with open(os.path.join(args.output_dir, "coords.csv"), "w", encoding="utf-8") as fh:
-        fh.write("name," + ",".join(f"c{i}" for i in range(args.components)) + "\n")
-        for name, row in zip(names, coords):
-            fh.write(name + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    write_csv(os.path.join(args.output_dir, "coords.csv"), coords,
+              ["name", *(f"c{i}" for i in range(args.components))],
+              [[_name(p)] for p in args.inputs])
     print(
         f"pga: {args.components} components, variances "
         + " ".join(f"{v:.3e}" for v in model.variances)
@@ -249,26 +225,14 @@ def _cmd_knn(args) -> int:
     train = _read_manifest_csv(args.train)
     train_paths = [p for p, _ in train]
     train_labels = [lab for _, lab in train]
-    train_diagrams = [persistence.read_diagram(p, args.dim) for p in train_paths]
-    test_diagrams = [persistence.read_diagram(p, args.dim) for p in args.test]
-    everything = train_diagrams + test_diagrams
-    scale = args.scale if args.scale is not None else _global_scale(everything)
-
-    n_train = len(train_diagrams)
-    if args.metric == "hilbert":
-        items = _densify(everything, scale, args.sigma, args.grid,
-                         names=train_paths + list(args.test))
-    else:
-        items = [persistence.normalize_diagram(d, scale) for d in everything]
+    scale, items = _read_inputs(args, train_paths + args.test, args.metric == "hilbert")
+    n_train = len(train_paths)
     dists = analysis.cross_distances(items[n_train:], items[:n_train], args.metric)
     predictions = analysis.knn_classify(dists, train_labels, args.k)
-    names = [os.path.splitext(os.path.basename(p))[0] for p in args.test]
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write("name,label\n")
-        for name, label in zip(names, predictions):
-            fh.write(f"{name},{label}\n")
+    write_csv(args.output, np.empty((len(predictions), 0)), ["name", "label"],
+              [[_name(p), label] for p, label in zip(args.test, predictions)])
     if args.manifest:
-        _write_json(args.manifest, {
+        write_json(args.manifest, {
             "metric": args.metric,
             "dim": args.dim,
             "k": args.k,
@@ -285,10 +249,8 @@ def _cmd_regress(args) -> int:
     features, names = _read_feature_csv(args.features)
     scores = _read_score_csv(args.scores, names)
     predictions, r = analysis.loo_regression(features, scores)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write("name,score,predicted\n")
-        for name, score, pred in zip(names, scores, predictions):
-            fh.write(f"{name},{score:.17g},{pred:.17g}\n")
+    write_csv(args.output, np.column_stack([scores, predictions]),
+              ["name", "score", "predicted"], [[name] for name in names])
     print(f"pearson_r {r:.17g}")
     return EXIT_OK
 
@@ -352,12 +314,10 @@ def _cmd_synth(args) -> int:
     for idx, (cloud, label) in enumerate(zip(clouds, labels)):
         name = f"cloud_{idx:03d}_{label}"
         embedding.write_cloud(os.path.join(args.output_dir, name + ".csv"), cloud)
-        rows.append((name, label))
-    with open(os.path.join(args.output_dir, "labels.csv"), "w", encoding="utf-8") as fh:
-        fh.write("name,label\n")
-        for name, label in rows:
-            fh.write(f"{name},{label}\n")
-    _write_json(os.path.join(args.output_dir, "manifest.json"), {
+        rows.append([name, label])
+    write_csv(os.path.join(args.output_dir, "labels.csv"), np.empty((len(rows), 0)),
+              ["name", "label"], rows)
+    write_json(os.path.join(args.output_dir, "manifest.json"), {
         "classes": args.classes,
         "per_class": args.per_class,
         "seed": args.seed,
@@ -397,8 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="KDE grid of a diagram")
     p.add_argument("--input", required=True)
-    p.add_argument("--dim", type=int, default=1, choices=(0, 1))
-    _add_density_args(p)
+    _add_input_args(p)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_density)
 
@@ -406,19 +365,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--metric", choices=analysis.METRICS, default="hilbert")
-    p.add_argument("--dim", type=int, default=1, choices=(0, 1))
-    _add_density_args(p)
+    _add_input_args(p)
     p.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser("distmat", help="pairwise distance matrix")
-    p.add_argument("--inputs", nargs="*", default=[],
-                   help="diagram files (one item each)")
-    p.add_argument("--groups", default=None,
-                   help="CSV 'name,path' grouping channel files into items; "
-                        "item distance is the mean across channels")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--inputs", nargs="*", default=[],
+                        help="diagram files (one item each)")
+    source.add_argument("--groups", default=None,
+                        help="CSV 'name,path' grouping channel files into items; "
+                             "item distance is the mean across channels")
     p.add_argument("--metric", choices=analysis.METRICS, default="hilbert")
-    p.add_argument("--dim", type=int, default=1, choices=(0, 1))
-    _add_density_args(p)
+    _add_input_args(p)
     p.add_argument("--output", required=True)
     p.add_argument("--manifest", default=None, help="JSON provenance output")
     p.set_defaults(func=_cmd_distmat)
@@ -429,23 +387,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=5)
     p.add_argument("--space", choices=("sphere", "alexandrov"), default="sphere",
                    help="sphere: density grids; alexandrov: matched-point diagrams")
-    p.add_argument("--dim", type=int, default=1, choices=(0, 1))
-    _add_density_args(p)
+    _add_input_args(p)
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=_cmd_geodesic)
 
     p = sub.add_parser("mean", help="extrinsic mean density of diagrams")
     p.add_argument("--inputs", nargs="+", required=True)
-    p.add_argument("--dim", type=int, default=1, choices=(0, 1))
-    _add_density_args(p)
+    _add_input_args(p)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_mean)
 
     p = sub.add_parser("pga", help="principal geodesic analysis of diagrams")
     p.add_argument("--inputs", nargs="+", required=True)
-    p.add_argument("--dim", type=int, default=1, choices=(0, 1))
     p.add_argument("--components", "-d", type=int, default=2)
-    _add_density_args(p)
+    _add_input_args(p)
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=_cmd_pga)
 
@@ -453,9 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True, help="CSV 'path,label'")
     p.add_argument("--test", nargs="+", required=True)
     p.add_argument("--metric", choices=analysis.METRICS, default="hilbert")
-    p.add_argument("--dim", type=int, default=1, choices=(0, 1))
     p.add_argument("--k", type=int, default=1)
-    _add_density_args(p)
+    _add_input_args(p)
     p.add_argument("--output", required=True)
     p.add_argument("--manifest", default=None)
     p.set_defaults(func=_cmd_knn)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import read_csv
+from .errors import read_csv, write_csv
 from .persistence import PersistenceDiagram
 
 NORM_TOL = 1e-9
@@ -175,13 +175,8 @@ def local_maxima(grid, min_ratio: float = 0.1) -> list[tuple[int, int]]:
 
 
 def write_grid(path, grid) -> None:
-    """Write a grid as CSV, row-major, full float precision."""
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 2:
-        raise ValueError("grid must be 2-D")
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in g:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    """Write a 2-D grid as CSV, row-major, full float precision."""
+    write_csv(path, grid)
 
 
 def read_grid(path) -> np.ndarray:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParseError, read_csv
+from .errors import ParseError, read_csv, write_csv
 
 
 def delay_embed(series, m: int, tau: int) -> np.ndarray:
@@ -83,10 +83,5 @@ def read_cloud(path) -> np.ndarray:
 
 
 def write_cloud(path, cloud) -> None:
-    """Write a point cloud as CSV with full float precision."""
-    pts = np.asarray(cloud, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("cloud must be a 2-D array")
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in pts:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    """Write a 2-D point cloud as CSV with full float precision."""
+    write_csv(path, cloud)

@@ -1,8 +1,9 @@
-"""Exception types shared across the file-format readers, and the CSV reader
-every file format goes through."""
+"""Exception types shared across the file-format readers, and the one CSV
+and JSON reader and writer every file format goes through."""
 
 from __future__ import annotations
 
+import json
 from typing import NamedTuple
 
 import numpy as np
@@ -82,3 +83,43 @@ def read_csv(path, header=None, text=0, inf_column=None, empty_ok=False) -> Tabl
         )
     return Table(fields, linenos, texts, values)
 
+
+def write_csv(path, values, header=None, text=None) -> None:
+    """
+    Write a CSV file that `read_csv` reads back to the same values.
+
+    `header` is a list of fields for the first line. Each data row is the
+    row's `text` cells, if given, then its `values` row as `%.17g` numbers
+    (`inf` for infinity), joined by commas and ended by LF. A header field
+    or text cell holding a comma or a line break raises ValueError before
+    the file is opened.
+    """
+    rows = np.asarray(values, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError("values must be a 2-D array")
+    text = [[]] * rows.shape[0] if text is None else text
+    for cell in [*(header or []), *(c for row in text for c in row)]:
+        if any(ch in cell for ch in ",\r\n"):
+            raise ValueError(f"{path}: text cell {cell!r} contains a comma or line break")
+    width = len(text[0]) if text else 0
+    template = ",".join(["%s"] * width + ["%.17g"] * rows.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        fh.writelines(template % (*t, *r) for t, r in zip(text, rows.tolist(), strict=True))
+
+
+def write_json(path, payload: dict) -> None:
+    """Write `payload` as JSON with indent 2, sorted keys and a final LF."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json(path):
+    """Read a JSON file; malformed or non-UTF-8 contents raise ParseError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ParseError(f"{path}: invalid JSON: {exc}") from None

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError, read_csv
+from .errors import ParseError, read_csv, write_csv
 
 
 class FiltrationError(ValueError):
@@ -542,13 +542,11 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
 
 def write_diagrams(path, diagrams) -> None:
     """Write diagrams as CSV with header dim,birth,death; essential bars get death=inf."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("dim,birth,death\n")
-        for pd in diagrams:
-            for birth, death in pd.pairs:
-                fh.write(f"{pd.homology_dim},{birth:.17g},{death:.17g}\n")
-            for birth in pd.essential:
-                fh.write(f"{pd.homology_dim},{birth:.17g},inf\n")
+    rows, dims = [np.empty((0, 2))], []
+    for pd in diagrams:
+        rows += [pd.pairs, np.column_stack([pd.essential, np.full(pd.essential.size, np.inf)])]
+        dims += [[str(pd.homology_dim)]] * (pd.pairs.shape[0] + pd.essential.size)
+    write_csv(path, np.concatenate(rows), ["dim", "birth", "death"], dims)
 
 
 def read_diagrams(path) -> dict[int, PersistenceDiagram]:

@@ -8,7 +8,6 @@ grids keep them in [0, pi/2].
 
 from __future__ import annotations
 
-import json
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -16,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import SqrtDensity, read_grid, write_grid
+from .errors import read_json, write_json
 
 TANGENCY_TOL = 1e-8
 ORTHONORMAL_TOL = 1e-8
@@ -341,15 +341,12 @@ def save_pga_model(model: PgaModel, directory, metadata: dict | None = None) -> 
     }
     if metadata:
         manifest.update(metadata)
-    with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(directory, "manifest.json"), manifest)
 
 
 def load_pga_model(directory) -> tuple[PgaModel, dict]:
     """Load a model written by save_pga_model; returns (model, manifest)."""
-    with open(os.path.join(directory, "manifest.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = read_json(os.path.join(directory, "manifest.json"))
     mean = SqrtDensity(grid=read_grid(os.path.join(directory, "mean.csv")))
     components = [
         TangentVector(mean, read_grid(os.path.join(directory, f"component_{idx:03d}.csv")))

@@ -5,17 +5,20 @@ import re
 import numpy as np
 import pytest
 
+from persphere import errors
 from persphere.analysis import read_matrix
 from persphere.cli import main
 from persphere.density import read_grid
-from persphere.embedding import write_cloud
+from persphere.embedding import read_cloud, write_cloud
 from persphere.errors import ParseError
 from persphere.persistence import (
     PersistenceDiagram,
     normalize_diagram,
     read_diagram,
+    read_diagrams,
     write_diagrams,
 )
+from persphere.sphere import load_pga_model
 from persphere.wasserstein import brute_force
 
 
@@ -370,3 +373,107 @@ def test_embed_channel_selection(tmp_path):
     assert [[float(v) for v in row] for row in cloud] == [
         [10, 11], [11, 12], [12, 13]
     ]
+
+
+def test_names_with_a_comma_exit_parameter(tmp_path, capsys):
+    paths = []
+    for name, b in (("a,b", 0.1), ("d1", 0.3), ("d2", 0.5)):
+        p = tmp_path / f"{name}.csv"
+        _write_diagram(p, [[b, b + 0.4]])
+        paths.append(p)
+    train = tmp_path / "train.csv"
+    train.write_text(f"path,label\n{paths[1]},x\n{paths[2]},y\n")
+    dm, model, pred = tmp_path / "dm.csv", tmp_path / "pga", tmp_path / "pred.csv"
+    for argv, out in (
+        (("distmat", "--inputs", *paths, "--metric", "w1", "--output", dm), dm),
+        (("pga", "--inputs", *paths, "--output-dir", model), model / "coords.csv"),
+        (("knn", "--train", train, "--test", paths[0], "--output", pred), pred),
+    ):
+        assert run(*argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: parameter: ") and "'a,b'" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+def test_distmat_inputs_and_groups_are_exclusive(tmp_path, capsys):
+    paths = []
+    for i in range(3):
+        p = tmp_path / f"d{i}.csv"
+        _write_diagram(p, [[0.1 * i, 0.1 * i + 0.4]])
+        paths.append(p)
+    groups = tmp_path / "groups.csv"
+    groups.write_text(f"name,path\nx,{paths[0]}\ny,{paths[1]}\n")
+    out = tmp_path / "dm.csv"
+    assert run("distmat", "--inputs", *paths, "--groups", groups, "--output", out) == 4
+    assert "not allowed with" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _chain():
+    """synth -> persist -> density -> distmat -> knn -> pga -> mean -> geodesic
+    -> regress in the working directory; returns the reader of every file."""
+
+    def rows(header, text):
+        return lambda p: errors.read_csv(p, header, text=text)
+
+    assert run("synth", "--classes", 3, "--per-class", 2, "--seed", 7, "--n-min", 20,
+               "--n-max", 26, "--output-dir", "syn") == 0
+    readers = {"syn/labels.csv": rows("name,label", 2), "syn/manifest.json": errors.read_json}
+    names = [r[0] for r in errors.read_csv("syn/labels.csv", "name,label", text=2).text]
+    dgms = [f"{name}.csv" for name in names]
+    for dgm in dgms:
+        assert run("persist", "--input", f"syn/{dgm}", "--output", dgm) == 0
+        readers[f"syn/{dgm}"] = read_cloud
+        readers[dgm] = read_diagrams
+    assert run("density", "--input", dgms[0], "--output", "g.csv") == 0
+    readers["g.csv"] = read_grid
+    for metric in ("hilbert", "w1"):
+        assert run("distmat", "--inputs", *dgms, "--metric", metric, "--output",
+                   f"{metric}.csv", "--manifest", f"{metric}.json") == 0
+        readers[f"{metric}.csv"] = lambda p, m=metric: read_matrix(p, m)
+        readers[f"{metric}.json"] = errors.read_json
+    with open("train.csv", "w") as fh:
+        fh.write("path,label\n")
+        fh.writelines(f"{d},{n.rsplit('_', 1)[1]}\n" for d, n in zip(dgms[1:], names[1:]))
+    readers["train.csv"] = rows("path,label", 2)
+    assert run("knn", "--train", "train.csv", "--test", dgms[0], "--k", 3,
+               "--output", "knn.csv", "--manifest", "knn.json") == 0
+    readers["knn.csv"] = rows("name,label", 2)
+    readers["knn.json"] = errors.read_json
+    assert run("pga", "--inputs", *dgms, "--components", 2, "--output-dir", "pga") == 0
+    for f in ("mean.csv", "component_000.csv", "component_001.csv"):
+        readers[f"pga/{f}"] = read_grid
+    readers["pga/manifest.json"] = lambda p: load_pga_model(p.parent)
+    readers["pga/coords.csv"] = rows("name,c0,c1", 1)
+    assert run("mean", "--inputs", *dgms, "--output", "mean.csv") == 0
+    readers["mean.csv"] = read_grid
+    for space in ("sphere", "alexandrov"):
+        assert run("geodesic", "--from", dgms[0], "--to", dgms[-1], "--steps", 3,
+                   "--space", space, "--output-dir", space) == 0
+        for i in range(3):
+            readers[f"{space}/step_{i:03d}.csv"] = read_grid if space == "sphere" else read_diagrams
+    with open("scores.csv", "w") as fh:
+        fh.write("name,score\n")
+        fh.writelines(f"{n},{i}\n" for i, n in enumerate(names))
+    readers["scores.csv"] = rows("name,score", 1)
+    assert run("regress", "--features", "pga/coords.csv", "--scores", "scores.csv",
+               "--output", "reg.csv") == 0
+    readers["reg.csv"] = rows("name,score,predicted", 1)
+    return readers
+
+
+def test_cli_chain_reproducible_and_readable(tmp_path, monkeypatch, capsys):
+    outputs = []
+    for run_dir in ("one", "two"):
+        (tmp_path / run_dir).mkdir()
+        monkeypatch.chdir(tmp_path / run_dir)
+        readers = _chain()
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    files = sorted(str(p.relative_to(tmp_path / "one")) for p in (tmp_path / "one").rglob("*")
+                   if p.is_file())
+    assert files == sorted(readers)
+    for name in files:
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+        readers[name](tmp_path / "one" / name)
