@@ -9,7 +9,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import sphere
-from .density import PersistencePdf, sqrt_transform
+from .density import PersistencePdf, kde, sqrt_transform
 from .errors import ParseError, read_csv, read_json, write_csv, write_json
 from .persistence import PersistenceDiagram, diagram_of_cloud
 from .wasserstein import wasserstein
@@ -285,7 +285,6 @@ def benchmark(
         raise ValueError(f"need at least 10 trials, got {trials}")
     if repeats < 2:
         raise ValueError(f"need at least 2 repeats, got {repeats}")
-    from .density import kde  # local import to keep module load light
 
     rng = np.random.default_rng(seed)
     xs = [random_diagram(rng, n_points) for _ in range(trials)]

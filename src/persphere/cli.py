@@ -170,14 +170,14 @@ def _cmd_distmat(args) -> int:
 
 
 def _cmd_geodesic(args) -> int:
+    if args.steps < 2:
+        raise _CliParameterError(f"--steps must be >= 2, got {args.steps}")
     paths = [args.from_path, args.to_path]
     if args.space == "sphere":
         _, pdfs = _read_inputs(args, paths)
         psi_a, psi_b = (density.sqrt_transform(p) for p in pdfs)
     else:
         pa, pb = (persistence.read_diagram(p, args.dim) for p in paths)
-    if args.steps < 2:
-        raise _CliParameterError(f"--steps must be >= 2, got {args.steps}")
     os.makedirs(args.output_dir, exist_ok=True)
     for i in range(args.steps):
         s = i / (args.steps - 1)
@@ -202,14 +202,16 @@ def _cmd_pga(args) -> int:
     scale, pdfs = _read_inputs(args, args.inputs)
     psis = [density.sqrt_transform(p) for p in pdfs]
     model, coords = analysis.pga_features(psis, args.components)
+    # coords.csv first: a name it rejects leaves no partial model behind.
+    os.makedirs(args.output_dir, exist_ok=True)
+    write_csv(os.path.join(args.output_dir, "coords.csv"), coords,
+              ["name", *(f"c{i}" for i in range(args.components))],
+              [[_name(p)] for p in args.inputs])
     sphere.save_pga_model(model, args.output_dir, metadata={
         "sigma": args.sigma,
         "scale": scale,
         "dim": args.dim,
     })
-    write_csv(os.path.join(args.output_dir, "coords.csv"), coords,
-              ["name", *(f"c{i}" for i in range(args.components))],
-              [[_name(p)] for p in args.inputs])
     print(
         f"pga: {args.components} components, variances "
         + " ".join(f"{v:.3e}" for v in model.variances)
@@ -349,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("persist", help="H0/H1 diagrams of a point cloud")
     p.add_argument("--input", required=True)
     p.add_argument("--max-scale", type=float, default=None,
-                   help="filtration cutoff (default: cloud diameter)")
+                   help="filtration cutoff (default: the enclosing radius, "
+                        "which gives the diagrams of any larger cutoff)")
     p.add_argument("--temporal-links", action="store_true",
                    help="insert zero-birth edges between consecutive points")
     p.add_argument("--output", required=True)

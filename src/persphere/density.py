@@ -142,11 +142,10 @@ def sqrt_transform(pdf: PersistencePdf) -> SqrtDensity:
     return SqrtDensity(grid=psi / norm)
 
 
-def to_pdf(psi: SqrtDensity, sigma: float | None = None) -> PersistencePdf:
+def to_pdf(psi: SqrtDensity) -> PersistencePdf:
     """Square a sqrt-density back into a probability grid."""
     grid = psi.grid * psi.grid
-    grid = grid / grid.sum()
-    return PersistencePdf(grid=grid, sigma=sigma)
+    return PersistencePdf(grid=grid / grid.sum())
 
 
 def local_maxima(grid, min_ratio: float = 0.1) -> list[tuple[int, int]]:

@@ -145,8 +145,24 @@ def _as_cloud(cloud) -> np.ndarray:
 
 
 def _distance_matrix(pts: np.ndarray) -> np.ndarray:
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
+    """Pairwise Euclidean distances, in row blocks of about 2^20 differences."""
+    n, m = pts.shape
+    dist = np.empty((n, n))
+    step = max(1, (1 << 20) // (n * m))
+    for s in range(0, n, step):
+        diff = pts[s:s + step, None, :] - pts[None, :, :]
+        dist[s:s + step] = np.sqrt((diff * diff).sum(axis=-1))
+    return dist
+
+
+def _edge_births(pts: np.ndarray, temporal_links: bool) -> np.ndarray:
+    """Birth of every edge: the pairwise distance, or 0 for a temporal link
+    (consecutive rows) when `temporal_links` is set."""
+    births = _distance_matrix(pts)
+    if temporal_links:
+        steps = np.arange(pts.shape[0] - 1)
+        births[steps, steps + 1] = births[steps + 1, steps] = 0.0
+    return births
 
 
 def _check_scale(max_scale) -> None:
@@ -182,17 +198,9 @@ def build_rips(cloud, max_scale: float, temporal_links: bool = False) -> Filtrat
     pts = _as_cloud(cloud)
     _check_scale(max_scale)
     n = pts.shape[0]
-    dist = _distance_matrix(pts)
-
-    adj = dist <= max_scale
+    births = _edge_births(pts, temporal_links)
+    adj = births <= max_scale
     np.fill_diagonal(adj, False)
-    births = dist.copy()
-    if temporal_links and n > 1:
-        steps = np.arange(n - 1)
-        adj[steps, steps + 1] = True
-        adj[steps + 1, steps] = True
-        births[steps, steps + 1] = 0.0
-        births[steps + 1, steps] = 0.0
 
     simplices: list[tuple[tuple[int, ...], float]] = [((i,), 0.0) for i in range(n)]
     edge_i, edge_j = np.nonzero(np.triu(adj, 1))
@@ -323,13 +331,8 @@ def h0_unionfind(cloud, temporal_links: bool = False) -> PersistenceDiagram:
     """
     pts = _as_cloud(cloud)
     n = pts.shape[0]
-    dist = _distance_matrix(pts)
     iu, ju = np.triu_indices(n, 1)
-    weights = dist[iu, ju]
-    if temporal_links and n > 1:
-        temporal = (ju - iu) == 1
-        weights = weights.copy()
-        weights[temporal] = 0.0
+    weights = _edge_births(pts, temporal_links)[iu, ju]
     order = np.argsort(weights, kind="stable")
     uf = _UnionFind(n)
     deaths = []
@@ -374,42 +377,34 @@ def diagram_of_cloud(
 
     The result equals `compute_persistence(build_rips(cloud, max_scale,
     temporal_links))`, pair for pair and in the same order; that reduction
-    stays the reference. When `max_scale` is omitted the cloud diameter is
-    used, which makes every H0 merge and every H1 death visible.
+    stays the reference, with the cloud diameter (or any positive scale at
+    least the enclosing radius) standing in for an omitted `max_scale`.
 
-    The engine never builds the filtration list. It computes the distance
-    matrix once and cuts the filtration at min(max_scale, enclosing
-    radius), the enclosing radius being the smallest row maximum of the
-    edge births: from there on one vertex is joined to every other, the
-    flag complex is a cone, and every pair born later has zero persistence.
-    H0 comes from union-find over the edges in (birth, i, j) order. H1
-    comes from reducing coboundary columns over Z/2 (persistent cohomology
-    has the same pairs as homology), walking the edges in reverse
-    filtration order with each column's pivot its earliest coface. The
-    edges that merge H0 components are cleared, i.e. skipped; a column
-    whose pivot is still unclaimed is paired at once, and full columns are
-    built only when pivots collide.
+    The engine never builds the filtration list. It computes the edge
+    births once and cuts the filtration at the enclosing radius, the
+    smallest row maximum of the edge births, or at `max_scale` if smaller:
+    from there on one vertex is joined to every other, the flag complex is
+    a cone, and every pair born later has zero persistence, so every H0
+    merge and every H1 death stays visible. H0 comes from union-find over
+    the edges in (birth, i, j) order. H1 comes from reducing coboundary
+    columns over Z/2 (persistent cohomology has the same pairs as
+    homology), walking the edges in reverse filtration order with each
+    column's pivot its earliest coface. The edges that merge H0 components
+    are cleared, i.e. skipped; a column whose pivot is still unclaimed is
+    paired at once, and full columns are built only when pivots collide.
     """
     pts = _as_cloud(cloud)
-    n = pts.shape[0]
-    dist = _distance_matrix(pts)
-    if max_scale is None:
-        max_scale = float(dist.max())
-        if max_scale <= 0:
-            max_scale = 1.0
-    _check_scale(max_scale)
-    if temporal_links and n > 1:
-        steps = np.arange(n - 1)
-        dist[steps, steps + 1] = 0.0
-        dist[steps + 1, steps] = 0.0
-    scale = min(max_scale, float(dist.max(axis=1).min()))
-    iu, ju = np.triu_indices(n, 1)
-    weights = dist[iu, ju]
-    kept = np.nonzero(weights <= scale)[0]
-    kept = kept[np.argsort(weights[kept], kind="stable")]
-    edges = (iu[kept], ju[kept], weights[kept])
-    pd0, merges = _h0_by_union_find(n, *edges)
-    return pd0, _h1_by_cohomology(n, *edges, merges)
+    births = _edge_births(pts, temporal_links)
+    cut = float(births.max(axis=1).min())  # the enclosing radius
+    if max_scale is not None:
+        _check_scale(max_scale)
+        cut = min(max_scale, cut)
+    i, j = np.nonzero(np.triu(births <= cut, 1))
+    w = births[i, j]
+    order = np.argsort(w, kind="stable")
+    edges = (i[order], j[order], w[order])
+    pd0, merges = _h0_by_union_find(len(pts), *edges)
+    return pd0, _h1_by_cohomology(len(pts), *edges, merges)
 
 
 def _h0_by_union_find(n: int, edges_i, edges_j, births):

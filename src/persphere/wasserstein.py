@@ -50,12 +50,18 @@ def _ground_costs(px: np.ndarray, py: np.ndarray, q: int) -> np.ndarray:
     return (diff * diff).sum(axis=-1)
 
 
-def _assignment_costs(px: np.ndarray, py: np.ndarray, q: int):
+def _assignment_costs(x: PersistenceDiagram, y: PersistenceDiagram, q: int):
     """Point-to-point, X-to-diagonal, and Y-to-diagonal assignment costs.
 
     For q=2 these are squared distances (the final value takes a square
-    root); for q=1 they are plain L1 distances.
+    root); for q=1 they are plain L1 distances. Raises ValueError for any
+    other q and for diagrams of different homology dimensions.
     """
+    if q not in (1, 2):
+        raise ValueError(f"q must be 1 or 2, got {q}")
+    if x.homology_dim != y.homology_dim:
+        raise ValueError("diagrams have different homology dimensions")
+    px, py = x.pairs, y.pairs
     cross = _ground_costs(px, py, q)
     gap_x = _diagonal_gap(px)
     gap_y = _diagonal_gap(py)
@@ -74,8 +80,6 @@ def _solve_assignment(cost: np.ndarray) -> np.ndarray:
     """
     c = np.asarray(cost, dtype=float)
     n = c.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=int)
     rows = c.tolist()
     inf = float("inf")
     u = [0.0] * (n + 1)
@@ -235,18 +239,10 @@ def wasserstein(x: PersistenceDiagram, y: PersistenceDiagram, q: int = 2):
     -------
     (distance, matching) : tuple of float and Matching
     """
-    if q not in (1, 2):
-        raise ValueError(f"q must be 1 or 2, got {q}")
-    if x.homology_dim != y.homology_dim:
-        raise ValueError("diagrams have different homology dimensions")
+    cross, diag_x, diag_y = _assignment_costs(x, y, q)
     px, py = x.pairs, y.pairs
-    nx, ny = px.shape[0], py.shape[0]
-    if nx == 0 and ny == 0:
-        return 0.0, Matching(pairs=[], cost=0.0)
-
-    cross, diag_x, diag_y = _assignment_costs(px, py, q)
     births = np.concatenate([px[:, 0], py[:, 0]])
-    if np.all(births == births[0]):
+    if np.all(births == births[:1]):  # two empty diagrams included
         partner = _line_partners(px[:, 1], py[:, 1], cross, diag_x, diag_y)
     else:
         partner = _hungarian_partners(cross, diag_x, diag_y)
@@ -260,16 +256,13 @@ def brute_force(x: PersistenceDiagram, y: PersistenceDiagram, q: int = 2) -> flo
     Every subset of X is matched bijectively to a same-size subset of Y in
     every order; unmatched points pay their diagonal cost.
     """
-    if q not in (1, 2):
-        raise ValueError(f"q must be 1 or 2, got {q}")
-    px, py = x.pairs, y.pairs
-    nx, ny = px.shape[0], py.shape[0]
+    nx, ny = x.pairs.shape[0], y.pairs.shape[0]
     if nx + ny > BRUTE_FORCE_LIMIT:
         raise ValueError(
             f"brute force is limited to {BRUTE_FORCE_LIMIT} total points, "
             f"got {nx + ny}"
         )
-    cross, diag_x, diag_y = (c.tolist() for c in _assignment_costs(px, py, q))
+    cross, diag_x, diag_y = (c.tolist() for c in _assignment_costs(x, y, q))
     best = float("inf")
     for k in range(min(nx, ny) + 1):
         for xs in combinations(range(nx), k):

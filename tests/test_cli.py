@@ -220,6 +220,34 @@ def test_geodesic_alexandrov_steps_are_diagrams(tmp_path):
     assert mid.pairs.tolist() == [[0.0, 0.75]]
 
 
+def test_geodesic_steps_checked_before_reading(tmp_path, capsys):
+    b = tmp_path / "b.csv"
+    _write_diagram(b, [[0.1, 0.5]])
+    out = tmp_path / "geo"
+    for space in ("sphere", "alexandrov"):
+        assert run("geodesic", "--from", tmp_path / "missing.csv", "--to", b,
+                   "--steps", 1, "--space", space, "--output-dir", out) == 4
+        assert "--steps must be >= 2, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_diagram_without_the_dimension_exits_parameter(tmp_path, capsys):
+    # Two points have no H1 class, so the diagram file holds H0 rows only.
+    cloud, dgm, out = tmp_path / "cloud.csv", tmp_path / "dgm.csv", tmp_path / "g.csv"
+    write_cloud(cloud, np.array([[0.0, 0.0], [1.0, 0.0]]))
+    assert run("persist", "--input", cloud, "--output", dgm) == 0
+    assert list(read_diagrams(dgm)) == [0]
+    capsys.readouterr()
+    assert run("density", "--input", dgm, "--dim", 1, "--output", out) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: parameter: ") and "no finite coordinates" in err
+    assert run("density", "--input", dgm, "--dim", 1, "--scale", 1, "--output", out) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: parameter: {dgm}: no density: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_mean_command(tmp_path):
     paths = []
     for i, pts in enumerate(([[0.2, 0.6]], [[0.2, 0.6], [0.5, 0.9]])):
@@ -394,6 +422,7 @@ def test_names_with_a_comma_exit_parameter(tmp_path, capsys):
         assert err.startswith("error: parameter: ") and "'a,b'" in err
         assert err.count("\n") == 1
         assert not out.exists()
+    assert list(model.glob("*")) == []
 
 
 def test_distmat_inputs_and_groups_are_exclusive(tmp_path, capsys):

@@ -236,7 +236,7 @@ def test_line_path_agrees_with_hungarian(q):
             dy = birth + rng.uniform(0.01, 0.8, ny)
         x, y = _line_pd(birth, dx), _line_pd(birth, dy)
         d, matching = wasserstein(x, y, q)
-        costs = W._assignment_costs(x.pairs, y.pairs, q)
+        costs = W._assignment_costs(x, y, q)
         ref, _ = W._decode(W._hungarian_partners(*costs), *costs, q)
         assert abs(d - ref) <= 1e-12 * ref
         _assert_covers(matching, nx, ny)
@@ -294,3 +294,5 @@ def test_homology_dimensions_must_agree():
         wasserstein(h0, h1, 1)
     with pytest.raises(ValueError, match="homology dimensions"):
         alexandrov_geodesic(h1, h0, 0.5)
+    with pytest.raises(ValueError, match="homology dimensions"):
+        brute_force(h0, h1, 1)
