@@ -24,6 +24,7 @@ from .sphere import (
     inner,
     log_map,
     pga,
+    pga_features,
     project_coords,
 )
 from .wasserstein import Matching, alexandrov_geodesic, brute_force, wasserstein
@@ -36,7 +37,6 @@ from .analysis import (
     knn_classify,
     loo_knn_accuracy,
     loo_regression,
-    pga_features,
     synthetic_clouds,
 )
 from .errors import ParseError

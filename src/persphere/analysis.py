@@ -1,5 +1,7 @@
-"""Dataset-level tooling: distance matrices, k-NN, PGA features, leave-one-out
-regression, timing comparisons, and the synthetic 3-class benchmark."""
+"""Dataset-level tooling: distance matrices, k-NN, leave-one-out regression,
+timing comparisons, and the synthetic 3-class benchmark.
+
+`pga_features` is imported here from `sphere`, which holds the one PGA fit."""
 
 from __future__ import annotations
 
@@ -8,10 +10,10 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import sphere
 from .density import PersistencePdf, kde, sqrt_transform
 from .errors import ParseError, read_csv, read_json, write_csv, write_json
 from .persistence import PersistenceDiagram, diagram_of_cloud
+from .sphere import pga_features
 from .wasserstein import wasserstein
 
 METRICS = ("hilbert", "w1", "w2")
@@ -162,18 +164,6 @@ def loo_knn_accuracy(matrix: DistanceMatrix, labels, k: int = 1) -> float:
     np.fill_diagonal(dists, np.inf)
     predictions = knn_classify(dists, labels, k)
     return sum(p == lab for p, lab in zip(predictions, labels)) / n
-
-
-def pga_features(densities, n_components: int):
-    """
-    Fit a PGA model and return it with the training coordinates.
-
-    The coordinates are those `sphere.project_coords` gives, computed in one
-    product from the tangent lifts the fit already made.
-    """
-    model, lifts = sphere._pga_with_lifts(densities, n_components)
-    components = np.stack([comp.values.ravel() for comp in model.components])
-    return model, (lifts @ components.T) / lifts.shape[1]
 
 
 def loo_regression(features, scores):

@@ -201,7 +201,7 @@ def _cmd_mean(args) -> int:
 def _cmd_pga(args) -> int:
     scale, pdfs = _read_inputs(args, args.inputs)
     psis = [density.sqrt_transform(p) for p in pdfs]
-    model, coords = analysis.pga_features(psis, args.components)
+    model, coords = sphere.pga_features(psis, args.components)
     # coords.csv first: a name it rejects leaves no partial model behind.
     os.makedirs(args.output_dir, exist_ok=True)
     write_csv(os.path.join(args.output_dir, "coords.csv"), coords,

@@ -28,11 +28,12 @@ def read_csv(path, header=None, text=0, inf_column=None, empty_ok=False) -> Tabl
 
     `header` is the required first line; a header ending in ",..." is a
     prefix, and the file's own header line then sets the column count.
-    Without a header, the first row sets it. Lines are stripped of
-    surrounding whitespace, so CRLF endings parse, and blank lines are
-    skipped. The first `text` columns of each row are kept as strings; the
-    others must be finite reals, except that `inf` is allowed in column
-    `inf_column`. A file with no data rows is an error unless `empty_ok`.
+    Without a header, the first row sets it. A leading UTF-8 byte-order
+    mark is skipped. Lines are stripped of surrounding whitespace, so CRLF
+    endings parse, and blank lines are skipped. The first `text` columns of
+    each row are kept as strings; the others must be finite reals, except
+    that `inf` is allowed in column `inf_column`. A file with no data rows
+    is an error unless `empty_ok`.
 
     Every failure raises ParseError starting "path:lineno:" for a row and
     "path:" for the whole file. Returns a Table: the header fields (None
@@ -43,7 +44,7 @@ def read_csv(path, header=None, text=0, inf_column=None, empty_ok=False) -> Tabl
     width = None
     fields = None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             if header is not None:
                 line = fh.readline().strip()
                 prefix = header[:-3] if header.endswith(",...") else None

@@ -40,15 +40,7 @@ def grid_norm(values) -> float:
 
 
 def _clipped_cosine(p1: SqrtDensity, p2: SqrtDensity) -> float:
-    c = inner(p1.grid, p2.grid)
-    if abs(c) > 1.0 + CLAMP_DIAGNOSTIC:
-        warnings.warn(
-            f"inner product {c} exceeds 1 by more than {CLAMP_DIAGNOSTIC}; "
-            "inputs may not be unit densities",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return min(1.0, max(-1.0, c))
+    return min(1.0, max(-1.0, inner(p1.grid, p2.grid)))
 
 
 def distance(p1: SqrtDensity, p2: SqrtDensity) -> float:
@@ -244,13 +236,14 @@ def _canonical_sign(direction: np.ndarray) -> np.ndarray:
     return -direction if direction.flat[np.argmax(np.abs(direction))] < 0 else direction
 
 
-def _complete_direction(mean: SqrtDensity, taken: list[np.ndarray]) -> np.ndarray:
+def _complete_direction(mean: SqrtDensity, taken: np.ndarray) -> np.ndarray:
     # Deterministic unit tangent direction for degenerate (zero-variance)
     # modes: the first cell indicator farther than 1e-9 (grid norm) from the
-    # span of the mean and the directions already taken, minus its
-    # projection on that span. One QR gives the span's orthonormal basis.
+    # span of the mean and the directions already taken (the flat rows of
+    # `taken`), minus its projection on that span. One QR gives the span's
+    # orthonormal basis.
     k = mean.grid_size
-    span = np.linalg.qr(np.column_stack([mean.grid.ravel()] + [t.ravel() for t in taken]))[0]
+    span = np.linalg.qr(np.column_stack([mean.grid.ravel(), *taken]))[0]
     # Squared Euclidean distance of every cell indicator from the span.
     gaps = 1.0 - np.einsum("ij,ij->i", span, span)
     far = np.flatnonzero(gaps > (1e-9 * k) ** 2)
@@ -261,10 +254,23 @@ def _complete_direction(mean: SqrtDensity, taken: list[np.ndarray]) -> np.ndarra
     return (cand / grid_norm(cand)).reshape(k, k)
 
 
-def _pga_with_lifts(densities, n_components: int) -> tuple[PgaModel, np.ndarray]:
-    # The model of `pga`, plus the (n, K^2) log-map lifts of the densities at
-    # its mean, from which the training coordinates follow without lifting
-    # again.
+def pga_features(densities, n_components: int) -> tuple[PgaModel, np.ndarray]:
+    """
+    Principal geodesic analysis of a set of sqrt-densities, with coordinates.
+
+    Lifts every density to the tangent space at the extrinsic mean and runs
+    PCA there: the top `n_components` eigenpairs of the centered tangent
+    vectors' Gram matrix (sample covariance under the discrete inner
+    product) come from `top_eigenpairs`, giving orthonormal tangent
+    components with nonincreasing variances. Directions beyond the data
+    rank get variance 0 and a deterministic orthonormal completion. Each
+    component's sign is fixed so that its first cell of largest magnitude
+    is positive, so the output does not depend on the eigensolver's signs.
+
+    Returns (model, coords): coords has shape (n, n_components) and holds
+    what `project_coords` gives for each density, computed in one product
+    from the lifts the fit already made.
+    """
     densities = list(densities)
     n = len(densities)
     if n < 2:
@@ -285,37 +291,26 @@ def _pga_with_lifts(densities, n_components: int) -> tuple[PgaModel, np.ndarray]
     eigvals, eigvecs = top_eigenpairs(gram, n_components)
 
     components: list[TangentVector] = []
-    taken: list[np.ndarray] = []
+    directions = np.empty((n_components, k * k))
     variances = []
-    for lam, combo in zip(eigvals.tolist(), eigvecs.T @ centered):
+    for a, (lam, combo) in enumerate(zip(eigvals.tolist(), eigvecs.T @ centered)):
         norm = grid_norm(combo)
         if lam > 0 and norm > 1e-12:
             direction = (combo / norm).reshape(k, k)
         else:
             lam = 0.0
-            direction = _complete_direction(mean, taken)
+            direction = _complete_direction(mean, directions[:a])
         direction = _canonical_sign(direction)
-        taken.append(direction)
+        directions[a] = direction.ravel()
         variances.append(lam)
         components.append(TangentVector(mean, direction))
     model = PgaModel(mean=mean, components=components, variances=np.asarray(variances))
-    return model, lifts
+    return model, (lifts @ directions.T) / (k * k)
 
 
 def pga(densities, n_components: int) -> PgaModel:
-    """
-    Principal geodesic analysis of a set of sqrt-densities.
-
-    Lifts every density to the tangent space at the extrinsic mean and runs
-    PCA there: the top `n_components` eigenpairs of the centered tangent
-    vectors' Gram matrix (sample covariance under the discrete inner
-    product) come from `top_eigenpairs`, giving orthonormal tangent
-    components with nonincreasing variances. Directions beyond the data
-    rank get variance 0 and a deterministic orthonormal completion. Each
-    component's sign is fixed so that its first cell of largest magnitude
-    is positive, so the output does not depend on the eigensolver's signs.
-    """
-    return _pga_with_lifts(densities, n_components)[0]
+    """The model of `pga_features`, without the coordinates."""
+    return pga_features(densities, n_components)[0]
 
 
 def project_coords(model: PgaModel, psi: SqrtDensity) -> np.ndarray:

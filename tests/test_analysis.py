@@ -6,6 +6,7 @@ from persphere.analysis import (
     ConfigurationError,
     DistanceMatrix,
     benchmark,
+    cross_distances,
     distance_matrix,
     knn_classify,
     loo_knn_accuracy,
@@ -69,6 +70,10 @@ def test_distance_matrix_configuration_errors():
         distance_matrix([a, PersistenceDiagram(1, np.array([[0.1, 0.3]]))], "hilbert")
     with pytest.raises(ValueError):
         distance_matrix([a], "hilbert")
+    with pytest.raises(ConfigurationError):
+        cross_distances([a, c], [a, c], "w1")
+    with pytest.raises(ValueError, match="unknown metric"):
+        cross_distances([a, c], [a, c], "l2")
 
 
 def test_knn_basics_and_ties():

@@ -59,7 +59,7 @@ def test_embed_persist_density_heatmap(tmp_path, sine_series):
     assert max(raw.split(b"255\n", 1)[1]) == 255
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     # missing file -> 2
     assert run("density", "--input", tmp_path / "nope.csv", "--output",
                tmp_path / "x.csv") == 2
@@ -74,6 +74,28 @@ def test_exit_codes(tmp_path):
                tmp_path / "x.csv") == 4
     # unknown flag -> 4
     assert run("density", "--wat") == 4
+    # one distmat item -> 4
+    assert run("distmat", "--inputs", good, "--output", tmp_path / "dm.csv") == 4
+    assert "need at least 2 items" in capsys.readouterr().err
+    # groups with mixed channel counts -> 4
+    groups = tmp_path / "groups.csv"
+    groups.write_text(f"name,path\nx,{good}\nx,{good}\ny,{good}\n")
+    assert run("distmat", "--groups", groups, "--output", tmp_path / "dm.csv") == 4
+    assert "mixed channel counts" in capsys.readouterr().err
+    # a feature name with no score -> 3
+    features, scores = tmp_path / "features.csv", tmp_path / "scores.csv"
+    features.write_text("name,c0\na,1\nb,2\nc,4\n")
+    scores.write_text("name,score\na,1\nb,2\n")
+    assert run("regress", "--features", features, "--scores", scores,
+               "--output", tmp_path / "r.csv") == 3
+    assert "missing scores for ['c']" in capsys.readouterr().err
+    # a bad dimension token or a death before its birth -> 3
+    bad.write_text("dim,birth,death\n1,0.1,0.5\nx,0.2,0.6\n")
+    assert run("density", "--input", bad, "--output", tmp_path / "x.csv") == 3
+    assert f"{bad}:3: bad dimension 'x'" in capsys.readouterr().err
+    bad.write_text("dim,birth,death\n1,0.5,0.1\n")
+    assert run("density", "--input", bad, "--output", tmp_path / "x.csv") == 3
+    assert "invalid diagram for dim 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])

@@ -90,6 +90,8 @@ def test_kde_errors():
         kde(_pd([[0.3, 0.7]]), sigma=0.0, grid_size=64)
     with pytest.raises(ValueError):
         kde(_pd([[0.3, 0.7]]), sigma=0.05, grid_size=1)
+    with pytest.raises(ValueError, match="too small"):
+        kde(_pd([[0.3, 0.7]]), sigma=1e-4, grid_size=8)
     with pytest.raises(ValueError, match="normalize"):
         kde(_pd([[0.3, 1.7]]), sigma=0.05, grid_size=64)
     with pytest.raises(ValueError, match="essential"):

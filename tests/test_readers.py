@@ -1,6 +1,6 @@
-"""One contract for every CSV reader: blank lines and CRLF parse, and a ragged
-row, a bad number, a wrong header or an empty file raise ParseError naming
-the file (and the line, for a row error)."""
+"""One contract for every CSV reader: blank lines, CRLF and a leading byte-order
+mark parse, and a ragged row, a bad number, a wrong header or an empty file
+raise ParseError naming the file (and the line, for a row error)."""
 
 import numpy as np
 import pytest
@@ -68,15 +68,19 @@ def _cases():
                            id=f"{name}-empty")
         yield pytest.param(read, header, rows, numeric, "crlf_blank", None,
                            id=f"{name}-crlf_blank")
+        yield pytest.param(read, header, rows, numeric, "bom", None, id=f"{name}-bom")
 
 
 @pytest.mark.parametrize("read, header, rows, numeric, case, lineno", _cases())
 def test_reader_contract(tmp_path, read, header, rows, numeric, case, lineno):
     path = tmp_path / "in.csv"
-    if case == "crlf_blank":
+    if case in ("crlf_blank", "bom"):
         plain = tmp_path / "plain.csv"
         plain.write_text(_text(header, rows))
-        body = _text(header, rows[:1], "\r\n") + "\r\n  \r\n" + _text(None, rows[1:], "\r\n")
+        if case == "bom":
+            body = "\ufeff" + _text(header, rows)
+        else:
+            body = _text(header, rows[:1], "\r\n") + "\r\n  \r\n" + _text(None, rows[1:], "\r\n")
         path.write_bytes(body.encode("utf-8"))
         assert _plain(read(path)) == _plain(read(plain))
         return

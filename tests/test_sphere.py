@@ -63,6 +63,13 @@ def test_distance_identity_and_range():
         assert 0.0 <= d <= np.pi / 2 + 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+def test_distance_to_itself_is_zero_within_the_norm_tolerance():
+    # norm^2 = 1 + 5e-10 is a valid SqrtDensity; the cosine is clipped, not flagged.
+    psi = SqrtDensity(grid=np.full((8, 8), np.sqrt(1 + 5e-10)))
+    assert distance(psi, psi) == 0.0
+
+
 def test_distance_saturates_for_disjoint_supports():
     a = _psi([[0.1, 0.3]], sigma=0.02)
     b = _psi([[0.7, 0.95]], sigma=0.02)
@@ -186,6 +193,8 @@ def test_extrinsic_mean_is_two_point_midpoint():
 def test_extrinsic_mean_errors():
     with pytest.raises(ValueError):
         extrinsic_mean([])
+    with pytest.raises(ValueError, match="mixed grid resolutions"):
+        extrinsic_mean([_psi([[0.3, 0.7]]), SqrtDensity(grid=np.ones((8, 8)))])
 
 
 def test_mean_heatmaps_same_modes_different_intensity():
@@ -263,6 +272,8 @@ def test_pga_parameter_guards():
         pga(psis[:1], 1)
     with pytest.raises(ValueError):
         pga(psis, 4)  # d > |set| - 1
+    with pytest.raises(ValueError, match="resolution does not match"):
+        project_coords(pga(psis, 2), SqrtDensity(grid=np.ones((8, 8))))
 
 
 def test_project_coords_properties():
