@@ -14,7 +14,7 @@ from .density import PersistencePdf, kde, sqrt_transform
 from .errors import ParseError, read_csv, read_json, write_csv, write_json
 from .persistence import PersistenceDiagram, diagram_of_cloud
 from .sphere import pga_features
-from .wasserstein import wasserstein
+from .wasserstein import pair_distances, wasserstein
 
 METRICS = ("hilbert", "w1", "w2")
 
@@ -56,9 +56,12 @@ def cross_distances(rows, cols, metric: str) -> np.ndarray:
     resolution and bandwidth (mixed parameters raise ConfigurationError);
     each is square-root transformed and compared by arc length. For 'w1'
     and 'w2', items are PersistenceDiagram objects compared by exact
-    Wasserstein matching. Passing the same list as both sides computes
-    each pair once and mirrors it, so the result is exactly symmetric with
-    a zero diagonal.
+    Wasserstein matching through `pair_distances`: the pairs whose points
+    share one birth (all Rips H0 pairs) are solved together in one
+    vectorized alignment, the others one at a time, and every entry
+    equals the pair's `wasserstein` distance. Passing the same list as
+    both sides computes each pair once and mirrors it, so the result is
+    exactly symmetric with a zero diagonal.
     """
     same = rows is cols
     if metric == "hilbert":
@@ -78,11 +81,15 @@ def cross_distances(rows, cols, metric: str) -> np.ndarray:
     elif metric in ("w1", "w2"):
         if not all(isinstance(p, PersistenceDiagram) for p in (*rows, *cols)):
             raise ConfigurationError(f"{metric} expects PersistenceDiagram items")
-        q = 1 if metric == "w1" else 2
+        if same:
+            i, j = np.triu_indices(len(rows), 1)
+        else:
+            i, j = (a.ravel() for a in np.indices((len(rows), len(cols))))
         dist = np.zeros((len(rows), len(cols)))
-        for i, d in enumerate(rows):
-            for j in range(i + 1 if same else 0, len(cols)):
-                dist[i, j] = wasserstein(d, cols[j], q)[0]
+        dist[i, j] = pair_distances(
+            [rows[a] for a in i.tolist()], [cols[b] for b in j.tolist()],
+            1 if metric == "w1" else 2,
+        )
     else:
         raise ValueError(f"unknown metric {metric!r}; pick one of {METRICS}")
     if same:
@@ -96,7 +103,8 @@ def distance_matrix(items, metric: str, labels=None) -> DistanceMatrix:
     All-pairs distances between items under `metric`, as computed by
     `cross_distances` with `items` on both sides: each pair is computed
     once and mirrored, so the matrix is exactly symmetric with a zero
-    diagonal.
+    diagonal. Under 'w1' and 'w2', all pairs of one-birth (Rips H0)
+    diagrams are solved together in one vectorized alignment.
     """
     items = list(items)
     if len(items) < 2:

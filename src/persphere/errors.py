@@ -118,8 +118,9 @@ def write_json(path, payload: dict) -> None:
 
 
 def read_json(path):
-    """Read a JSON file; malformed or non-UTF-8 contents raise ParseError."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a JSON file, skipping a leading byte-order mark as `read_csv`
+    does; malformed or non-UTF-8 contents raise ParseError."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -238,19 +238,23 @@ def _canonical_sign(direction: np.ndarray) -> np.ndarray:
 
 def _complete_direction(mean: SqrtDensity, taken: np.ndarray) -> np.ndarray:
     # Deterministic unit tangent direction for degenerate (zero-variance)
-    # modes: the first cell indicator farther than 1e-9 (grid norm) from the
+    # modes: the first cell indicator at least 1e-6 (Euclidean) from the
     # span of the mean and the directions already taken (the flat rows of
     # `taken`), minus its projection on that span. One QR gives the span's
     # orthonormal basis.
     k = mean.grid_size
     span = np.linalg.qr(np.column_stack([mean.grid.ravel(), *taken]))[0]
-    # Squared Euclidean distance of every cell indicator from the span.
+    # Squared Euclidean distance of every cell indicator from the span. As
+    # 1 - |row|^2 it carries rounding of about 1e-16, so a cell already in
+    # the span can read a few 1e-16; the threshold sits far above that.
     gaps = 1.0 - np.einsum("ij,ij->i", span, span)
-    far = np.flatnonzero(gaps > (1e-9 * k) ** 2)
+    far = np.flatnonzero(gaps > 1e-12)
     if far.size == 0:
         raise ValueError("could not complete an orthonormal tangent direction")
     cand = -(span @ span[far[0]])
     cand[far[0]] += 1.0
+    # Project once more: the first subtraction leaves rounding in the span.
+    cand -= span @ (span.T @ cand)
     return (cand / grid_norm(cand)).reshape(k, k)
 
 

@@ -3,9 +3,11 @@
 L1- and L2-Wasserstein distances with diagonal augmentation, solved
 exactly: by an O(nx*ny) alignment over sorted deaths when every point of
 both diagrams has the same birth (every Rips H0 diagram is born at 0),
-and otherwise by the Hungarian algorithm on a square cost matrix. Also an
-exhaustive oracle for small instances, and the matched-interpolation
-geodesic whose midpoint is the two-diagram mean.
+and otherwise by the Hungarian algorithm on a square cost matrix. The
+distances of many pairs (`pair_distances`, behind every distance matrix)
+solve all one-birth pairs together, in one alignment vectorized across
+the pairs. Also an exhaustive oracle for small instances, and the
+matched-interpolation geodesic whose midpoint is the two-diagram mean.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ from .persistence import PersistenceDiagram
 DIAGONAL = None
 
 BRUTE_FORCE_LIMIT = 8
+
+# Most alignment moves that one batch of `_line_distances` stores, one
+# byte each: pairs x (padded X + 1) x (padded Y + 1).
+LINE_BATCH_CELLS = 1 << 20
 
 
 @dataclass
@@ -43,11 +49,25 @@ def _diagonal_gap(points: np.ndarray) -> np.ndarray:
     return points[:, 1] - points[:, 0]
 
 
+def _diagonal_costs(points: np.ndarray, q: int) -> np.ndarray:
+    gap = _diagonal_gap(points)
+    return gap if q == 1 else gap * gap / 2.0
+
+
 def _ground_costs(px: np.ndarray, py: np.ndarray, q: int) -> np.ndarray:
     diff = np.abs(px[:, None, :] - py[None, :, :])
     if q == 1:
         return diff.sum(axis=-1)
     return (diff * diff).sum(axis=-1)
+
+
+def _check_pairs(xs, ys, q: int) -> None:
+    """Raise ValueError for q other than 1 or 2, and for any pair
+    (xs[k], ys[k]) of different homology dimensions."""
+    if q not in (1, 2):
+        raise ValueError(f"q must be 1 or 2, got {q}")
+    if any(x.homology_dim != y.homology_dim for x, y in zip(xs, ys)):
+        raise ValueError("diagrams have different homology dimensions")
 
 
 def _assignment_costs(x: PersistenceDiagram, y: PersistenceDiagram, q: int):
@@ -57,19 +77,21 @@ def _assignment_costs(x: PersistenceDiagram, y: PersistenceDiagram, q: int):
     root); for q=1 they are plain L1 distances. Raises ValueError for any
     other q and for diagrams of different homology dimensions.
     """
-    if q not in (1, 2):
-        raise ValueError(f"q must be 1 or 2, got {q}")
-    if x.homology_dim != y.homology_dim:
-        raise ValueError("diagrams have different homology dimensions")
+    _check_pairs([x], [y], q)
     px, py = x.pairs, y.pairs
-    cross = _ground_costs(px, py, q)
-    gap_x = _diagonal_gap(px)
-    gap_y = _diagonal_gap(py)
-    if q == 1:
-        diag_x, diag_y = gap_x, gap_y
-    else:
-        diag_x, diag_y = gap_x * gap_x / 2.0, gap_y * gap_y / 2.0
-    return cross, diag_x, diag_y
+    return _ground_costs(px, py, q), _diagonal_costs(px, q), _diagonal_costs(py, q)
+
+
+def _birth_range(d: PersistenceDiagram) -> tuple[float, float]:
+    """Lowest and highest birth of a diagram; (inf, -inf) when it is empty."""
+    births = d.pairs[:, 0]
+    return (float(births.min()), float(births.max())) if births.size else (np.inf, -np.inf)
+
+
+def _one_birth(range_x, range_y) -> bool:
+    """Whether two diagrams with these birth ranges have every point born
+    at the same value (two empty diagrams included)."""
+    return min(range_x[0], range_y[0]) >= max(range_x[1], range_y[1])
 
 
 def _solve_assignment(cost: np.ndarray) -> np.ndarray:
@@ -240,13 +262,150 @@ def wasserstein(x: PersistenceDiagram, y: PersistenceDiagram, q: int = 2):
     (distance, matching) : tuple of float and Matching
     """
     cross, diag_x, diag_y = _assignment_costs(x, y, q)
-    px, py = x.pairs, y.pairs
-    births = np.concatenate([px[:, 0], py[:, 0]])
-    if np.all(births == births[:1]):  # two empty diagrams included
-        partner = _line_partners(px[:, 1], py[:, 1], cross, diag_x, diag_y)
+    if _one_birth(_birth_range(x), _birth_range(y)):
+        partner = _line_partners(x.pairs[:, 1], y.pairs[:, 1], cross, diag_x, diag_y)
     else:
         partner = _hungarian_partners(cross, diag_x, diag_y)
     return _decode(partner, cross, diag_x, diag_y, q)
+
+
+def _sorted_stack(diagrams, q: int):
+    """Deaths and diagonal costs of the diagrams in stable death order, one
+    column per diagram, zero-padded to one height; with the sort orders
+    (one column each) and the sizes."""
+    sizes = np.array([d.pairs.shape[0] for d in diagrams], dtype=int)
+    height = int(sizes.max(initial=0))
+    real = np.arange(height) < sizes[:, None]
+    points = np.concatenate([d.pairs for d in diagrams]) if height else np.empty((0, 2))
+    # Padding sorts after every finite death, so each column's order is the
+    # stable argsort of its own deaths, as `_line_partners` takes it.
+    deaths = np.full((height, sizes.size), np.inf)
+    deaths.T[real] = points[:, 1]
+    costs = np.zeros(deaths.shape)
+    costs.T[real] = _diagonal_costs(points, q)
+    order = np.argsort(deaths, axis=0, kind="stable")
+    deaths = np.where(real.T, np.take_along_axis(deaths, order, 0), 0.0)
+    return deaths, np.take_along_axis(costs, order, 0), order, sizes
+
+
+def _line_distances(xs, ys, q: int) -> np.ndarray:
+    """Distances of the one-birth pairs (xs[k], ys[k]), solved together.
+
+    Runs the alignment of `_line_partners` over the anti-diagonals of a
+    stack of death-sorted, zero-padded pairs, with pair k in column k: the
+    same costs, summed in the same order, and the same `<` comparisons,
+    so every pair takes the same moves. Each distance is then summed in
+    `_decode`'s order (X rows in input order, then unmatched Y), so it
+    equals `wasserstein(x, y, q)[0]` bit for bit. The caller checks q,
+    the homology dimensions and that every point of each pair has the
+    same birth.
+    """
+    n = len(xs)
+    dx, cx, ox, nx = _sorted_stack(xs, q)
+    dy, cy, oy, ny = _sorted_stack(ys, q)
+    mx, my = dx.shape[0], dy.shape[0]
+    # Y reversed, so the cells of an anti-diagonal read a forward slice.
+    dy_back, cy_back = dy[::-1].copy(), cy[::-1].copy()
+    # move[i, j, k] is the last step of a best alignment of the first i
+    # sorted X points with the first j sorted Y points of pair k: 0 pairs
+    # the i-th X point with the j-th Y point, 1 sends that X point and 2 or
+    # 3 that Y point to the diagonal.
+    move = np.zeros((mx + 1, my + 1, n), dtype=np.int8)
+    # Row i of `old` and `last` holds the best cost of the first i sorted X
+    # points against the first t - 2 - i (old) and t - 1 - i (last) sorted
+    # Y points.
+    old = np.zeros((mx + 1, n))
+    last = np.zeros((mx + 1, n))
+    rows = np.arange(mx + 1)
+    for t in range(1, mx + my + 1):
+        cur = np.empty((mx + 1, n))
+        if t <= my:
+            cur[0] = last[0] + cy[t - 1]
+        if t <= mx:
+            cur[t] = last[t - 1] + cx[t - 1]
+        lo, hi = max(1, t - my), min(mx, t - 1)
+        if lo <= hi:
+            # Cells (i, t - i) for i in [lo, hi]: X point i - 1 and Y point
+            # t - i - 1, which is row my - t + i of the reversed Y.
+            xi, yj = slice(lo - 1, hi), slice(my - t + lo, my - t + hi + 1)
+            diff = np.abs(dx[xi] - dy_back[yj])
+            best = old[xi] + (diff if q == 1 else diff * diff)
+            up = last[xi] + cx[xi]
+            side = last[lo:hi + 1] + cy_back[yj]
+            # Equal sums are the same nonnegative float, so the minimum is
+            # the sum that the `<` comparisons pick.
+            to_up = up < best
+            best = np.minimum(up, best)
+            to_side = side < best
+            cur[lo:hi + 1] = np.minimum(side, best)
+            cells = rows[lo:hi + 1]
+            move[cells, t - cells] = to_up.view(np.int8) + 2 * to_side.view(np.int8)
+        old, last = last, cur
+
+    # Trace every pair back at once; mate[a, k] is the sorted Y point that
+    # sorted X point a of pair k is paired with, or -1.
+    mate = np.full((mx, n), -1)
+    i, j = nx.copy(), ny.copy()
+    live = np.flatnonzero((i > 0) & (j > 0))
+    while live.size:
+        a, b = i[live], j[live]
+        step = move[a, b, live]
+        paired = step == 0
+        mate[a[paired] - 1, live[paired]] = b[paired] - 1
+        i[live] -= step < 2
+        j[live] -= step != 1
+        live = live[(i[live] > 0) & (j[live] > 0)]
+
+    a, k = np.nonzero(mate >= 0)
+    b = mate[a, k]
+    diff = np.abs(dx[a, k] - dy[b, k])
+    x_terms = cx.copy()
+    x_terms[a, k] = diff if q == 1 else diff * diff
+    y_terms = cy.copy()
+    y_terms[b, k] = 0.0
+    terms = np.zeros((mx + my, n))
+    np.put_along_axis(terms[:mx], ox, x_terms, 0)
+    np.put_along_axis(terms[mx:], oy, y_terms, 0)
+    # One addition per term, in order, as `_decode` sums; the zeros of
+    # paired Y points and of padding leave a sum unchanged.
+    total = np.zeros(n)
+    for row in terms:
+        total += row
+    return total if q == 1 else np.sqrt(total)
+
+
+def pair_distances(xs, ys, q: int = 2) -> np.ndarray:
+    """
+    Lq-Wasserstein distance of every pair (xs[k], ys[k]).
+
+    Each entry equals `wasserstein(xs[k], ys[k], q)[0]` bit for bit. The
+    pairs whose points all share one birth (every pair of Rips H0
+    diagrams, and a pair with an empty diagram) are solved together, in
+    batches of at most LINE_BATCH_CELLS alignment moves; the others one
+    at a time by `wasserstein`. Raises ValueError for q other than 1 or 2
+    and for a pair of different homology dimensions.
+    """
+    _check_pairs(xs, ys, q)
+    # A matrix repeats each diagram in many pairs: find its births once.
+    unique = {id(d): d for d in (*xs, *ys)}
+    ranges = {key: _birth_range(d) for key, d in unique.items()}
+    out = np.empty(len(xs))
+    batches: list[list[int]] = [[]]
+    wx = wy = 0
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        if not _one_birth(ranges[id(x)], ranges[id(y)]):
+            out[k] = wasserstein(x, y, q)[0]
+            continue
+        nx, ny = x.pairs.shape[0], y.pairs.shape[0]
+        wx, wy = max(wx, nx), max(wy, ny)
+        if batches[-1] and (len(batches[-1]) + 1) * (wx + 1) * (wy + 1) > LINE_BATCH_CELLS:
+            batches.append([])
+            wx, wy = nx, ny
+        batches[-1].append(k)
+    for batch in batches:
+        if batch:
+            out[batch] = _line_distances([xs[k] for k in batch], [ys[k] for k in batch], q)
+    return out
 
 
 def brute_force(x: PersistenceDiagram, y: PersistenceDiagram, q: int = 2) -> float:

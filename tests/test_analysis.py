@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,9 @@ from persphere.analysis import (
 from persphere.density import kde, sqrt_transform
 from persphere.persistence import PersistenceDiagram, diagram_of_cloud, normalize_diagram
 from persphere.sphere import project_coords
+from persphere.wasserstein import wasserstein
+
+W = importlib.import_module("persphere.wasserstein")
 
 
 def _pdfs(point_sets, sigma=0.05, k=32):
@@ -74,6 +79,69 @@ def test_distance_matrix_configuration_errors():
         cross_distances([a, c], [a, c], "w1")
     with pytest.raises(ValueError, match="unknown metric"):
         cross_distances([a, c], [a, c], "l2")
+
+
+def _line_list(rng, n, dim=0):
+    # One-birth diagrams born at 0 or 0.3, some empty, with deaths on a
+    # coarse grid, so ties within and across diagrams are common.
+    out = []
+    for _ in range(n):
+        birth = float(rng.choice([0.0, 0.3]))
+        deaths = birth + float(rng.choice([0.05, 0.1, 0.25])) * rng.integers(1, 6, rng.integers(0, 9))
+        out.append(PersistenceDiagram(dim, np.column_stack([np.full(deaths.size, birth), deaths])))
+    return out
+
+
+def _per_pair(rows, cols, metric):
+    # The loop that cross_distances replaced: one wasserstein call per pair.
+    q = 1 if metric == "w1" else 2
+    same = rows is cols
+    ref = np.zeros((len(rows), len(cols)))
+    for i, d in enumerate(rows):
+        for j in range(i + 1 if same else 0, len(cols)):
+            ref[i, j] = wasserstein(d, cols[j], q)[0]
+    return ref + ref.T if same else ref
+
+
+@pytest.mark.parametrize("metric", ["w1", "w2"])
+def test_wasserstein_matrix_equals_per_pair(metric, monkeypatch):
+    rng = np.random.default_rng(31)
+    items = _line_list(rng, 14)
+    assert np.array_equal(cross_distances(items, items, metric), _per_pair(items, items, metric))
+    # Rows and columns apart, as k-NN compares test items with training items.
+    rows, cols = items[:5], _line_list(rng, 9)
+    assert np.array_equal(cross_distances(rows, cols, metric), _per_pair(rows, cols, metric))
+    # One-birth diagrams beside generic H1 diagrams: the line batch and the
+    # Hungarian solve fill one matrix.
+    solve, sizes = W._solve_assignment, []
+    monkeypatch.setattr(W, "_solve_assignment", lambda c: sizes.append(len(c)) or solve(c))
+    mixed = _line_list(rng, 6, dim=1) + [random_diagram(rng, 4) for _ in range(4)]
+    assert np.array_equal(cross_distances(mixed, mixed, metric), _per_pair(mixed, mixed, metric))
+    assert sizes
+
+
+def test_wasserstein_matrix_in_many_batches(monkeypatch):
+    rng = np.random.default_rng(32)
+    items = _line_list(rng, 12)
+    whole = {m: cross_distances(items, items, m) for m in ("w1", "w2")}
+    batched, batches = W._line_distances, []
+    monkeypatch.setattr(W, "_line_distances", lambda xs, ys, q: batches.append(len(xs)) or batched(xs, ys, q))
+    monkeypatch.setattr(W, "LINE_BATCH_CELLS", 2000)
+    for metric, values in whole.items():
+        assert np.array_equal(cross_distances(items, items, metric), values)
+        rows = items[:4]
+        assert np.array_equal(cross_distances(rows, items, metric), _per_pair(rows, items, metric))
+    assert len(batches) > 4 and max(batches) < 66
+
+
+def test_wasserstein_matrix_rejects_mixed_dimensions():
+    h0 = _line_list(np.random.default_rng(33), 3)
+    empty_h1 = PersistenceDiagram(1, np.empty((0, 2)))
+    for metric in ("w1", "w2"):
+        with pytest.raises(ValueError, match="homology dimensions"):
+            cross_distances([*h0, empty_h1], [*h0, empty_h1], metric)
+        with pytest.raises(ValueError, match="homology dimensions"):
+            cross_distances(h0, [empty_h1], metric)
 
 
 def test_knn_basics_and_ties():

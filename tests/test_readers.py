@@ -1,16 +1,24 @@
 """One contract for every CSV reader: blank lines, CRLF and a leading byte-order
 mark parse, and a ragged row, a bad number, a wrong header or an empty file
-raise ParseError naming the file (and the line, for a row error)."""
+raise ParseError naming the file (and the line, for a row error). The JSON
+readers skip a leading byte-order mark too."""
 
 import numpy as np
 import pytest
 
 from persphere import cli
-from persphere.analysis import DistanceMatrix, read_matrix
-from persphere.density import read_grid
+from persphere.analysis import (
+    BenchReport,
+    DistanceMatrix,
+    read_bench_report,
+    read_matrix,
+    write_bench_report,
+)
+from persphere.density import kde, read_grid, sqrt_transform
 from persphere.embedding import read_cloud, read_series
 from persphere.errors import ParseError
 from persphere.persistence import PersistenceDiagram, read_diagrams
+from persphere.sphere import load_pga_model, pga, save_pga_model
 
 # name, reader, header line (None: headerless), two data rows, a numeric column
 READERS = [
@@ -96,3 +104,23 @@ def test_reader_contract(tmp_path, read, header, rows, numeric, case, lineno):
         read(path)
     prefix = f"{path}:{lineno}:" if lineno is not None else f"{path}: "
     assert str(info.value).startswith(prefix)
+
+
+def _with_bom(path):
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+
+
+def test_json_readers_skip_bom(tmp_path):
+    report = BenchReport(30, 64, 0.05, 10, 5, 1e-6, 1e-7, 1e-3, 1e-4)
+    write_bench_report(tmp_path / "bench.json", report)
+    _with_bom(tmp_path / "bench.json")
+    assert read_bench_report(tmp_path / "bench.json") == report
+
+    model = pga([sqrt_transform(kde(PersistenceDiagram(1, np.array([p])), 0.1, 8))
+                 for p in ([0.2, 0.5], [0.3, 0.6])], 1)
+    save_pga_model(model, tmp_path / "model", {"sigma": 0.05})
+    _with_bom(tmp_path / "model" / "manifest.json")
+    loaded, manifest = load_pga_model(tmp_path / "model")
+    assert manifest["sigma"] == 0.05
+    assert np.array_equal(loaded.variances, model.variances)
+    assert np.array_equal(loaded.components[0].values, model.components[0].values)

@@ -14,6 +14,7 @@ from persphere.sphere import (
     load_pga_model,
     log_map,
     pga,
+    pga_features,
     project_coords,
     EIG_MAX_ITER,
     save_pga_model,
@@ -226,6 +227,18 @@ def test_pga_identical_set_all_zero_variance():
     assert len(model.components) == 2
     for comp in model.components:
         assert comp.norm == pytest.approx(1.0, abs=1e-9)
+
+
+def test_pga_completes_directions_of_concentrated_densities():
+    # At K = 16 a one-point KDE of sigma 0.05 sits in a few cells, so cell
+    # indicators lie in the span up to rounding and must not be taken.
+    a, b = (sqrt_transform(kde(PersistenceDiagram(1, np.array([p])), 0.05, 16))
+            for p in ([0.3, 0.7], [0.2, 0.5]))
+    model, coords = pga_features([a, b, a, b], 3)
+    assert model.variances[0] > 0 and model.variances[1:].tolist() == [0.0, 0.0]
+    flat = np.stack([comp.values.ravel() for comp in model.components])
+    assert np.allclose(flat @ flat.T / 256, np.eye(3), atol=1e-12)
+    assert np.allclose(coords[:, 1:], 0.0, atol=1e-12)
 
 
 def test_pga_single_geodesic_family_is_rank_one():

@@ -89,6 +89,8 @@ def test_q_validation():
         wasserstein(EMPTY, EMPTY, 3)
     with pytest.raises(ValueError):
         brute_force(EMPTY, EMPTY, 0)
+    with pytest.raises(ValueError):
+        W.pair_distances([EMPTY, _pd([[0.0, 0.5]])], [EMPTY, _pd([[0.0, 0.4]])], 3)
 
 
 def test_matching_covers_every_point():
@@ -287,6 +289,26 @@ def test_dispatch_by_shared_birth(monkeypatch):
         alexandrov_geodesic(x, y, 0.5)
 
 
+@pytest.mark.parametrize("q", [1, 2])
+def test_batched_line_path_equals_wasserstein(q):
+    # Oracle: the per-pair alignment and sum; equality is exact, not close.
+    rng = np.random.default_rng(47)
+    xs, ys = [], []
+    for _ in range(300):
+        birth = float(rng.choice([0.0, 0.3]))
+        nx, ny = (int(n) for n in rng.integers(0, 12, 2))
+        if rng.integers(2):
+            xs.append(_line_pd(birth, _line_deaths(rng, birth, nx)))
+            ys.append(_line_pd(birth, _line_deaths(rng, birth, ny)))
+        else:
+            xs.append(_line_pd(birth, birth + rng.uniform(0.01, 0.8, nx)))
+            ys.append(_line_pd(birth, birth + rng.uniform(0.01, 0.8, ny)))
+    ref = [wasserstein(x, y, q)[0] for x, y in zip(xs, ys)]
+    assert W._line_distances(xs, ys, q).tolist() == ref
+    assert W.pair_distances(xs, ys, q).tolist() == ref
+    assert W.pair_distances([], [], q).tolist() == []
+
+
 def test_homology_dimensions_must_agree():
     h0 = _line_pd(0.0, [0.5])
     h1 = _pd([[0.2, 0.6]])
@@ -296,3 +318,5 @@ def test_homology_dimensions_must_agree():
         alexandrov_geodesic(h1, h0, 0.5)
     with pytest.raises(ValueError, match="homology dimensions"):
         brute_force(h0, h1, 1)
+    with pytest.raises(ValueError, match="homology dimensions"):
+        W.pair_distances([h0, h0], [h0, EMPTY], 1)
