@@ -10,7 +10,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .density import PersistencePdf, kde, sqrt_transform
+from .density import NORM_TOL, PersistencePdf, kde, sqrt_transform
 from .errors import ParseError, read_csv, read_json, write_csv, write_json
 from .persistence import PersistenceDiagram, diagram_of_cloud
 from .sphere import pga_features
@@ -48,13 +48,29 @@ class DistanceMatrix:
             raise ValueError("distances must be nonnegative")
 
 
+def _sqrt_rows(pdfs, cells: int) -> np.ndarray:
+    # Row i is sqrt_transform(pdfs[i]).grid.ravel(), bit for bit: the same
+    # cellwise root and the same pairwise-summed norm, with the unit-norm
+    # check SqrtDensity makes run once over all rows.
+    rows = np.empty((len(pdfs), cells))
+    for row, pdf in zip(rows, pdfs):
+        np.sqrt(pdf.grid.ravel(), out=row)
+        row /= np.sqrt(float((row * row).sum()) / cells)
+    norm_sq = np.einsum("ij,ij->i", rows, rows) / cells
+    if not np.all(np.abs(norm_sq - 1.0) <= NORM_TOL):
+        raise ValueError("a square-root density does not have unit discrete norm")
+    return rows
+
+
 def cross_distances(rows, cols, metric: str) -> np.ndarray:
     """
     Distances from every item of `rows` to every item of `cols`.
 
     For metric 'hilbert', items are PersistencePdf objects sharing grid
-    resolution and bandwidth (mixed parameters raise ConfigurationError);
-    each is square-root transformed and compared by arc length. For 'w1'
+    resolution and bandwidth (mixed parameters raise ConfigurationError).
+    Their square roots are stacked once as rows, each row equal to
+    `sqrt_transform` of its pdf, and every entry is the arc length
+    arccos(clip(<a, b>)), taken from one matrix product. For 'w1'
     and 'w2', items are PersistenceDiagram objects compared by exact
     Wasserstein matching through `pair_distances`: the pairs whose points
     share one birth (all Rips H0 pairs) are solved together in one
@@ -64,22 +80,26 @@ def cross_distances(rows, cols, metric: str) -> np.ndarray:
     exactly symmetric with a zero diagonal.
     """
     same = rows is cols
+    items = (*rows, *cols)
     if metric == "hilbert":
-        if not all(isinstance(p, PersistencePdf) for p in (*rows, *cols)):
+        if not all(isinstance(p, PersistencePdf) for p in items):
             raise ConfigurationError("hilbert metric expects PersistencePdf items")
-        first = rows[0]
-        for p in (*rows, *cols):
-            if p.grid_size != first.grid_size:
+        for p in items[1:]:
+            if p.grid_size != items[0].grid_size:
                 raise ConfigurationError(
-                    f"mixed grid resolutions: {first.grid_size} vs {p.grid_size}"
+                    f"mixed grid resolutions: {items[0].grid_size} vs {p.grid_size}"
                 )
-            if p.sigma != first.sigma:
-                raise ConfigurationError(f"mixed bandwidths: {first.sigma} vs {p.sigma}")
-        a = np.stack([sqrt_transform(p).grid.ravel() for p in rows])
-        b = a if same else np.stack([sqrt_transform(p).grid.ravel() for p in cols])
-        dist = np.arccos(np.clip((a @ b.T) / a.shape[1], -1.0, 1.0))
+            if p.sigma != items[0].sigma:
+                raise ConfigurationError(f"mixed bandwidths: {items[0].sigma} vs {p.sigma}")
+        cells = items[0].grid.size if items else 0
+        a = _sqrt_rows(rows, cells)
+        b = a if same else _sqrt_rows(cols, cells)
+        dist = a @ b.T
+        dist /= cells
+        np.clip(dist, -1.0, 1.0, out=dist)
+        np.arccos(dist, out=dist)
     elif metric in ("w1", "w2"):
-        if not all(isinstance(p, PersistenceDiagram) for p in (*rows, *cols)):
+        if not all(isinstance(p, PersistenceDiagram) for p in items):
             raise ConfigurationError(f"{metric} expects PersistenceDiagram items")
         if same:
             i, j = np.triu_indices(len(rows), 1)

@@ -140,19 +140,27 @@ def geodesic(p1: SqrtDensity, p2: SqrtDensity, s: float) -> SqrtDensity:
     return exp_map(p1, log_map(p1, p2).scaled(s))
 
 
-def extrinsic_mean(densities) -> SqrtDensity:
-    """Cellwise average of the set, rescaled back onto the unit sphere."""
-    densities = list(densities)
+def _stack(densities) -> np.ndarray:
+    """The (n, K, K) stack of the densities' grids, one shared resolution."""
     if not densities:
         raise ValueError("cannot average an empty set of densities")
     k = densities[0].grid_size
     if any(d.grid_size != k for d in densities):
         raise ValueError("densities have mixed grid resolutions")
-    mean = np.mean([d.grid for d in densities], axis=0)
+    return np.array([d.grid for d in densities])
+
+
+def _mean_of_stack(grids: np.ndarray) -> SqrtDensity:
+    mean = grids.mean(axis=0)
     norm = grid_norm(mean)
     if norm == 0.0:
         raise ValueError("mean grid is zero; cannot project onto the sphere")
     return SqrtDensity(grid=mean / norm)
+
+
+def extrinsic_mean(densities) -> SqrtDensity:
+    """Cellwise average of the set, rescaled back onto the unit sphere."""
+    return _mean_of_stack(_stack(list(densities)))
 
 
 @dataclass
@@ -263,41 +271,82 @@ def pga_features(densities, n_components: int) -> tuple[PgaModel, np.ndarray]:
     Principal geodesic analysis of a set of sqrt-densities, with coordinates.
 
     Lifts every density to the tangent space at the extrinsic mean and runs
-    PCA there: the top `n_components` eigenpairs of the centered tangent
-    vectors' Gram matrix (sample covariance under the discrete inner
-    product) come from `top_eigenpairs`, giving orthonormal tangent
-    components with nonincreasing variances. Directions beyond the data
-    rank get variance 0 and a deterministic orthonormal completion. Each
-    component's sign is fixed so that its first cell of largest magnitude
-    is positive, so the output does not depend on the eigensolver's signs.
+    PCA there: the top `n_components` eigenpairs of the centered lifts'
+    sample covariance Gram matrix (under the discrete inner product) come
+    from `top_eigenpairs`, giving orthonormal tangent components with
+    nonincreasing variances. Directions beyond the data rank get variance 0
+    and a deterministic orthonormal completion. Each component's sign is
+    fixed so that its first cell of largest magnitude is positive, so the
+    output does not depend on the eigensolver's signs.
+
+    The lifts are never formed. The grids are stacked once as rows psi_i
+    (the mean comes from the same stack), and each row is overwritten by
+    its projection u_i = psi_i - c_i mu off the mean mu, c_i the clipped
+    cosine. The lift of psi_i is a_i u_i with a_i = theta_i / |u_i| and
+    theta_i = arccos(c_i), or the zero vector where the density equals the
+    mean or u_i is zero, as in `log_map`. So the lifts' Gram matrix is
+    diag(a) (U U^T / K^2) diag(a), centered in O(n^2); the components are
+    one product of centered eigenvector weights with U, and the
+    coordinates one product of U with the components. U U^T is taken from
+    the projections, not as psi psi^T - c c^T, whose difference loses about
+    eight digits on a cluster of densities 1e-4 apart.
 
     Returns (model, coords): coords has shape (n, n_components) and holds
-    what `project_coords` gives for each density, computed in one product
-    from the lifts the fit already made.
+    what `project_coords` gives for each density.
     """
     densities = list(densities)
     n = len(densities)
     if n < 2:
         raise ValueError("principal geodesic analysis needs at least 2 densities")
-    mean = extrinsic_mean(densities)
+    grids = _stack(densities)
+    mean = _mean_of_stack(grids)
     k = mean.grid_size
-    if not 1 <= n_components <= min(n - 1, k * k):
+    cells = k * k
+    if not 1 <= n_components <= min(n - 1, cells):
         raise ValueError(
-            f"n_components must be in [1, {min(n - 1, k * k)}], got {n_components}"
+            f"n_components must be in [1, {min(n - 1, cells)}], got {n_components}"
         )
-    lifts = np.empty((n, k * k))
-    for i, d in enumerate(densities):
-        lifts[i] = log_map(mean, d).values.ravel()
-    centered = lifts - lifts.mean(axis=0)
-    gram = centered @ centered.T
-    gram /= k * k
+    mu = mean.grid.ravel()
+    tangents = grids.reshape(n, cells)
+    cosines = np.empty(n)
+    at_mean = np.empty(n, dtype=bool)
+    # Row blocks of about 2^20 cells. The cosines are summed as `inner` sums
+    # them, so a density equal to the mean up to rounding gets the cosine,
+    # and so the zero lift, that `log_map` gives it.
+    step = max(1, (1 << 20) // cells)
+    for s in range(0, n, step):
+        block = tangents[s:s + step]
+        at_mean[s:s + step] = (block == mu).all(axis=1)
+        cos = np.clip((block * mu).sum(axis=1) / cells, -1.0, 1.0)
+        block -= cos[:, None] * mu
+        cosines[s:s + step] = cos
+    if np.any(cosines <= CLAMP_DIAGNOSTIC):
+        warnings.warn(
+            "densities are orthogonal to the mean; their lifts are the projection "
+            "boundary case",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    gram = tangents @ tangents.T
+    gram /= cells
+    norms = np.sqrt(np.diagonal(gram))
+    scale = np.zeros(n)
+    live = ~at_mean & (norms > 0.0)
+    scale[live] = np.arccos(cosines[live]) / norms[live]
+    if np.any(np.abs(scale * (tangents @ mu)) / cells > TANGENCY_TOL):
+        raise ValueError("values are not tangent to the base density")
+    gram *= np.multiply.outer(scale, scale)
+    row_means = gram.mean(axis=1)
+    gram += row_means.mean()
+    gram -= np.add.outer(row_means, row_means)
     gram /= n
     eigvals, eigvecs = top_eigenpairs(gram, n_components)
+    weights = (eigvecs - eigvecs.mean(axis=0)) * scale[:, None]
 
     components: list[TangentVector] = []
-    directions = np.empty((n_components, k * k))
+    directions = np.empty((n_components, cells))
     variances = []
-    for a, (lam, combo) in enumerate(zip(eigvals.tolist(), eigvecs.T @ centered)):
+    for a, (lam, combo) in enumerate(zip(eigvals.tolist(), weights.T @ tangents)):
         norm = grid_norm(combo)
         if lam > 0 and norm > 1e-12:
             direction = (combo / norm).reshape(k, k)
@@ -309,7 +358,9 @@ def pga_features(densities, n_components: int) -> tuple[PgaModel, np.ndarray]:
         variances.append(lam)
         components.append(TangentVector(mean, direction))
     model = PgaModel(mean=mean, components=components, variances=np.asarray(variances))
-    return model, (lifts @ directions.T) / (k * k)
+    coords = tangents @ directions.T
+    coords *= scale[:, None] / cells
+    return model, coords
 
 
 def pga(densities, n_components: int) -> PgaModel:

@@ -81,6 +81,38 @@ def test_distance_matrix_configuration_errors():
         cross_distances([a, c], [a, c], "l2")
 
 
+def _sqrt_stack(pdfs):
+    # The rows the Hilbert matrix had before its one sqrt stack: one
+    # sqrt_transform per pdf.
+    return np.stack([sqrt_transform(p).grid.ravel() for p in pdfs])
+
+
+def test_hilbert_matrix_equals_per_item_sqrt_rows():
+    rng = np.random.default_rng(41)
+    pdfs = _pdfs(
+        [np.column_stack([b, b + rng.uniform(0.05, 0.3, b.size)])
+         for b in (rng.uniform(0.0, 0.6, rng.integers(1, 8)) for _ in range(9))],
+        k=32,
+    )
+    a = _sqrt_stack(pdfs)
+    upper = np.triu(np.arccos(np.clip((a @ a.T) / a.shape[1], -1.0, 1.0)), 1)
+    assert np.array_equal(cross_distances(pdfs, pdfs, "hilbert"), upper + upper.T)
+    rows, cols = pdfs[:4], pdfs[2:]
+    a, b = _sqrt_stack(rows), _sqrt_stack(cols)
+    want = np.arccos(np.clip((a @ b.T) / a.shape[1], -1.0, 1.0))
+    assert np.array_equal(cross_distances(rows, cols, "hilbert"), want)
+
+
+@pytest.mark.parametrize("metric", ["hilbert", "w1", "w2"])
+def test_cross_distances_with_an_empty_side(metric):
+    items = _pdfs([[[0.3, 0.7]], [[0.2, 0.5]], [[0.1, 0.9]]])
+    if metric != "hilbert":
+        items = [PersistenceDiagram(1, np.array([[0.3, 0.7]]))] * 3
+    assert cross_distances([], items, metric).shape == (0, 3)
+    assert cross_distances(items, [], metric).shape == (3, 0)
+    assert cross_distances([], [], metric).shape == (0, 0)
+
+
 def _line_list(rng, n, dim=0):
     # One-birth diagrams born at 0 or 0.3, some empty, with deaths on a
     # coarse grid, so ties within and across diagrams are common.

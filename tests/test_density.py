@@ -77,6 +77,40 @@ def test_kde_deterministic():
     assert np.array_equal(a.grid, b.grid)
 
 
+def _two_exp_product(points, sigma, k):
+    # The kernel kde had before its in-place one: one exponential per axis
+    # against a strided coordinate column. Kept as the bit-level reference;
+    # returns the unnormalized grid.
+    pts = np.asarray(points, dtype=float)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    centers = cell_centers(k)
+    g_birth = np.exp(-0.5 * ((centers[:, None] - pts[None, :, 0]) / sigma) ** 2)
+    g_death = np.exp(-0.5 * ((centers[:, None] - pts[None, :, 1]) / sigma) ** 2)
+    return g_death @ g_birth.T
+
+
+@pytest.mark.parametrize("k", [2, 16, 64])
+@pytest.mark.parametrize("n", [1, 2, 20, 260, 500])
+def test_kde_is_bit_identical_to_the_two_exponential_kernel(n, k):
+    rng = np.random.default_rng(10 * n + k)
+    births = rng.uniform(0.0, 0.8, n)
+    deaths = births + rng.uniform(0.01, 0.2, n)
+    pts = np.column_stack([births, deaths])
+    # Ties: a repeated point and a shared birth, in unsorted order.
+    pts[n // 2] = pts[0]
+    pts[n - 1] = pts[n // 3, 0], pts[n // 3, 0] + 0.05
+    pts = pts[rng.permutation(n)]
+    for sigma in (0.05, 0.3):
+        raw = _two_exp_product(pts, sigma, k)
+        assert np.array_equal(kde(_pd(pts), sigma, k).grid, raw / raw.sum())
+
+
+def test_kde_rejects_mass_between_centers_as_the_reference_does():
+    assert _two_exp_product([[0.3, 0.7]], 1e-4, 8).sum() == 0.0
+    with pytest.raises(ValueError, match="all kernel mass fell between cell centers"):
+        kde(_pd([[0.3, 0.7]]), 1e-4, 8)
+
+
 def test_kde_adding_a_point_changes_grid():
     base = kde(_pd([[0.3, 0.7]]), 0.05, 64)
     more = kde(_pd([[0.3, 0.7], [0.7, 0.9]]), 0.05, 64)

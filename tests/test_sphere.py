@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from persphere.density import SqrtDensity, kde, sqrt_transform
 from persphere.persistence import PersistenceDiagram
+from persphere import sphere
 from persphere.sphere import (
     PgaModel,
     TangentVector,
@@ -17,6 +20,7 @@ from persphere.sphere import (
     pga_features,
     project_coords,
     EIG_MAX_ITER,
+    grid_norm,
     save_pga_model,
     top_eigenpairs,
     zero_tangent,
@@ -218,6 +222,120 @@ def test_mean_heatmaps_same_modes_different_intensity():
     assert any(
         abs(a - b) > 0.05 * max(a, b) for a, b in zip(intensities_a, intensities_b)
     )
+
+
+def _pga_by_lifts(densities, n_components):
+    # The explicit-lift fit that pga_features replaced, kept as its oracle:
+    # one log_map per density, the centered lifts' Gram matrix, and its top
+    # eigenvectors combined with the centered lifts. Returns the variances,
+    # the unit directions with canonical signs (NaN rows where a
+    # combination vanishes) and the coordinates.
+    mean = extrinsic_mean(densities)
+    cells = mean.grid.size
+    lifts = np.stack([log_map(mean, d).values.ravel() for d in densities])
+    centered = lifts - lifts.mean(axis=0)
+    values, vectors = top_eigenpairs(centered @ centered.T / cells / len(densities), n_components)
+    combos = vectors.T @ centered
+    with np.errstate(invalid="ignore"):
+        directions = combos / np.sqrt((combos * combos).sum(axis=1) / cells)[:, None]
+    top = directions[np.arange(n_components), np.argmax(np.abs(combos), axis=1)]
+    directions *= np.where(top < 0, -1.0, 1.0)[:, None]
+    return values, directions, lifts @ directions.T / cells
+
+
+def _flat_components(model):
+    return np.stack([comp.values.ravel() for comp in model.components])
+
+
+def _assert_orthonormal(model, tol):
+    flat = _flat_components(model)
+    gram = flat @ flat.T / flat.shape[1]
+    assert np.abs(gram - np.eye(len(flat))).max() <= tol
+
+
+def _tight_cluster(seed, count, spread):
+    # Positive K = 16 densities at arc length about `spread` from one base.
+    rng = np.random.default_rng(seed)
+    pd = PersistenceDiagram(1, np.array([[0.3, 0.6], [0.5, 0.8]]))
+    base = sqrt_transform(kde(pd, 0.15, 16)).grid
+    out = []
+    for _ in range(count):
+        grid = base * (1.0 + spread * rng.standard_normal(base.shape))
+        out.append(SqrtDensity(grid=grid / grid_norm(grid)))
+    return out
+
+
+def test_pga_matches_the_explicit_lift_fit_on_a_random_set():
+    psis = _random_psis(21, 25)
+    model, coords = pga_features(psis, 4)
+    values, directions, want_coords = _pga_by_lifts(psis, 4)
+    assert np.abs(model.variances - values).max() <= 1e-12
+    assert np.abs(_flat_components(model) - directions).max() <= 1e-12
+    assert np.abs(coords - want_coords).max() <= 1e-12
+
+
+def test_pga_on_a_tight_cluster_keeps_orthonormal_components():
+    # Lifts of norm about 1e-4: a Gram matrix taken as psi psi^T - c c^T
+    # would lose about eight digits here to cancellation.
+    cluster = _tight_cluster(22, 40, 1e-4)
+    mean = extrinsic_mean(cluster)
+    assert 1e-5 < max(distance(mean, p) for p in cluster) < 1e-3
+    model, coords = pga_features(cluster, 3)
+    _assert_orthonormal(model, 1e-12)
+    values, directions, want_coords = _pga_by_lifts(cluster, 3)
+    assert np.abs(model.variances - values).max() <= 1e-6 * values[0]
+    assert np.abs(coords - want_coords).max() <= 1e-6 * np.abs(want_coords).max()
+
+
+def test_pga_of_an_identical_set_matches_the_explicit_lift_fit():
+    psi = _psi([[0.4, 0.7]])
+    model, coords = pga_features([psi] * 4, 2)
+    values, _, _ = _pga_by_lifts([psi] * 4, 2)
+    assert model.variances.tolist() == values.tolist() == [0.0, 0.0]
+    assert np.abs(coords).max() == 0.0
+    _assert_orthonormal(model, 1e-12)
+
+
+def test_pga_of_a_geodesic_family_matches_the_explicit_lift_fit():
+    psi_a, psi_b = _random_psis(23, 2)
+    family = [geodesic(psi_a, psi_b, s) for s in (0.0, 0.2, 0.45, 0.7, 0.9)]
+    model, coords = pga_features(family, 3)
+    values, directions, want_coords = _pga_by_lifts(family, 3)
+    assert abs(model.variances[0] - values[0]) <= 1e-12 * values[0]
+    assert np.all(model.variances[1:] < 1e-10)
+    assert np.abs(model.components[0].values.ravel() - directions[0]).max() <= 1e-10
+    assert np.abs(coords[:, 0] - want_coords[:, 0]).max() <= 1e-12
+    _assert_orthonormal(model, 1e-12)
+
+
+def test_pga_of_concentrated_densities_matches_the_explicit_lift_fit():
+    a, b = (sqrt_transform(kde(PersistenceDiagram(1, np.array([p])), 0.05, 16))
+            for p in ([0.3, 0.7], [0.2, 0.5]))
+    model, coords = pga_features([a, b, a, b], 3)
+    values, directions, want_coords = _pga_by_lifts([a, b, a, b], 3)
+    assert abs(model.variances[0] - values[0]) <= 1e-12 * values[0]
+    assert np.abs(model.components[0].values.ravel() - directions[0]).max() <= 1e-12
+    assert np.abs(coords[:, 0] - want_coords[:, 0]).max() <= 1e-12
+
+
+def test_pga_warns_once_for_densities_orthogonal_to_the_mean(monkeypatch):
+    # Nonnegative densities have cosine at least 1/n with their extrinsic
+    # mean, so the threshold is raised to put several on the boundary.
+    psis = _random_psis(24, 8)
+    mean = extrinsic_mean(psis)
+    cosines = sorted(inner(mean.grid, p.grid) for p in psis)
+    monkeypatch.setattr(sphere, "CLAMP_DIAGNOSTIC", (cosines[2] + cosines[3]) / 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model, coords = pga_features(psis, 2)
+    assert [str(w.message) for w in caught] == [
+        "densities are orthogonal to the mean; their lifts are the projection boundary case"
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        values, _, want_coords = _pga_by_lifts(psis, 2)
+    assert np.abs(model.variances - values).max() <= 1e-12
+    assert np.abs(coords - want_coords).max() <= 1e-12
 
 
 def test_pga_identical_set_all_zero_variance():
