@@ -1,7 +1,5 @@
 """Dataset-level tooling: distance matrices, k-NN, leave-one-out regression,
-timing comparisons, and the synthetic 3-class benchmark.
-
-`pga_features` is imported here from `sphere`, which holds the one PGA fit."""
+timing comparisons, and the synthetic 3-class benchmark."""
 
 from __future__ import annotations
 
@@ -10,10 +8,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .density import NORM_TOL, PersistencePdf, kde, sqrt_transform
+from .density import PersistencePdf, kde, sqrt_stack
 from .errors import ParseError, read_csv, read_json, write_csv, write_json
 from .persistence import PersistenceDiagram, diagram_of_cloud
-from .sphere import pga_features
 from .wasserstein import pair_distances, wasserstein
 
 METRICS = ("hilbert", "w1", "w2")
@@ -48,28 +45,14 @@ class DistanceMatrix:
             raise ValueError("distances must be nonnegative")
 
 
-def _sqrt_rows(pdfs, cells: int) -> np.ndarray:
-    # Row i is sqrt_transform(pdfs[i]).grid.ravel(), bit for bit: the same
-    # cellwise root and the same pairwise-summed norm, with the unit-norm
-    # check SqrtDensity makes run once over all rows.
-    rows = np.empty((len(pdfs), cells))
-    for row, pdf in zip(rows, pdfs):
-        np.sqrt(pdf.grid.ravel(), out=row)
-        row /= np.sqrt(float((row * row).sum()) / cells)
-    norm_sq = np.einsum("ij,ij->i", rows, rows) / cells
-    if not np.all(np.abs(norm_sq - 1.0) <= NORM_TOL):
-        raise ValueError("a square-root density does not have unit discrete norm")
-    return rows
-
-
 def cross_distances(rows, cols, metric: str) -> np.ndarray:
     """
     Distances from every item of `rows` to every item of `cols`.
 
     For metric 'hilbert', items are PersistencePdf objects sharing grid
     resolution and bandwidth (mixed parameters raise ConfigurationError).
-    Their square roots are stacked once as rows, each row equal to
-    `sqrt_transform` of its pdf, and every entry is the arc length
+    Each side is stacked once by `sqrt_stack`, rows bit-identical to
+    `sqrt_transform`, and every entry is the arc length
     arccos(clip(<a, b>)), taken from one matrix product. For 'w1'
     and 'w2', items are PersistenceDiagram objects compared by exact
     Wasserstein matching through `pair_distances`: the pairs whose points
@@ -92,8 +75,8 @@ def cross_distances(rows, cols, metric: str) -> np.ndarray:
             if p.sigma != items[0].sigma:
                 raise ConfigurationError(f"mixed bandwidths: {items[0].sigma} vs {p.sigma}")
         cells = items[0].grid.size if items else 0
-        a = _sqrt_rows(rows, cells)
-        b = a if same else _sqrt_rows(cols, cells)
+        a = sqrt_stack(rows).reshape(len(rows), cells)
+        b = a if same else sqrt_stack(cols).reshape(len(cols), cells)
         dist = a @ b.T
         dist /= cells
         np.clip(dist, -1.0, 1.0, out=dist)
@@ -309,13 +292,9 @@ def benchmark(
     ys = [random_diagram(rng, n_points) for _ in range(trials)]
 
     # Densities are computed once per diagram and reused across all pairs.
-    flat_x = np.stack(
-        [sqrt_transform(kde(d, sigma, grid_size)).grid.ravel() for d in xs]
-    )
-    flat_y = np.stack(
-        [sqrt_transform(kde(d, sigma, grid_size)).grid.ravel() for d in ys]
-    )
     cells = grid_size * grid_size
+    flat_x = sqrt_stack([kde(d, sigma, grid_size) for d in xs]).reshape(trials, cells)
+    flat_y = sqrt_stack([kde(d, sigma, grid_size) for d in ys]).reshape(trials, cells)
 
     def hilbert_batch():
         start = time.perf_counter()

@@ -140,12 +140,30 @@ def kde(pd: PersistenceDiagram, sigma: float, grid_size: int = 64) -> Persistenc
     return PersistencePdf(grid=grid, sigma=sigma)
 
 
+def sqrt_stack(pdfs) -> np.ndarray:
+    """Square-root forms of pdfs of one resolution K, as an (n, K, K) array.
+
+    Row i is the cellwise root of `pdfs[i].grid` over its discrete norm
+    sqrt(sum(row^2) / K^2); the grids are not modified. Raises ValueError
+    for mixed resolutions or a row whose norm^2 is off 1 by over NORM_TOL.
+    """
+    k = pdfs[0].grid_size if pdfs else 0
+    if any(p.grid_size != k for p in pdfs):
+        raise ValueError("pdfs have mixed grid resolutions")
+    cells = k * k
+    rows = np.empty((len(pdfs), cells))
+    for row, pdf in zip(rows, pdfs):
+        np.sqrt(pdf.grid.ravel(), out=row)
+        row /= np.sqrt(float((row * row).sum()) / cells)
+    norm_sq = np.einsum("ij,ij->i", rows, rows) / cells
+    if not (np.abs(norm_sq - 1.0) <= NORM_TOL).all():
+        raise ValueError("a square-root density does not have unit discrete norm")
+    return rows.reshape(len(pdfs), k, k)
+
+
 def sqrt_transform(pdf: PersistencePdf) -> SqrtDensity:
-    """Cellwise square root, rescaled to unit discrete norm."""
-    psi = np.sqrt(pdf.grid)
-    k = psi.shape[0]
-    norm = np.sqrt(float((psi * psi).sum()) / (k * k))
-    return SqrtDensity(grid=psi / norm)
+    """Cellwise square root at unit discrete norm: `sqrt_stack` of one pdf."""
+    return SqrtDensity(grid=sqrt_stack([pdf])[0])
 
 
 def to_pdf(psi: SqrtDensity) -> PersistencePdf:

@@ -62,10 +62,12 @@ def _ground_costs(px: np.ndarray, py: np.ndarray, q: int) -> np.ndarray:
 
 
 def _check_pairs(xs, ys, q: int) -> None:
-    """Raise ValueError for q other than 1 or 2, and for any pair
-    (xs[k], ys[k]) of different homology dimensions."""
+    """Raise ValueError for q other than 1 or 2, for unequal lengths, and
+    for a pair (xs[k], ys[k]) of different homology dimensions."""
     if q not in (1, 2):
         raise ValueError(f"q must be 1 or 2, got {q}")
+    if len(xs) != len(ys):
+        raise ValueError(f"pair sides differ in length: {len(xs)} vs {len(ys)}")
     if any(x.homology_dim != y.homology_dim for x, y in zip(xs, ys)):
         raise ValueError("diagrams have different homology dimensions")
 
@@ -382,8 +384,8 @@ def pair_distances(xs, ys, q: int = 2) -> np.ndarray:
     pairs whose points all share one birth (every pair of Rips H0
     diagrams, and a pair with an empty diagram) are solved together, in
     batches of at most LINE_BATCH_CELLS alignment moves; the others one
-    at a time by `wasserstein`. Raises ValueError for q other than 1 or 2
-    and for a pair of different homology dimensions.
+    at a time by `wasserstein`. Raises ValueError for q other than 1 or 2,
+    for unequal lengths, and for a pair of different homology dimensions.
     """
     _check_pairs(xs, ys, q)
     # A matrix repeats each diagram in many pairs: find its births once.

@@ -14,7 +14,6 @@ from persphere.analysis import (
     loo_knn_accuracy,
     loo_regression,
     pearson_r,
-    pga_features,
     random_diagram,
     read_bench_report,
     read_matrix,
@@ -24,7 +23,7 @@ from persphere.analysis import (
 )
 from persphere.density import kde, sqrt_transform
 from persphere.persistence import PersistenceDiagram, diagram_of_cloud, normalize_diagram
-from persphere.sphere import project_coords
+from persphere.sphere import pga_features, project_coords
 from persphere.wasserstein import wasserstein
 
 W = importlib.import_module("persphere.wasserstein")
@@ -82,9 +81,13 @@ def test_distance_matrix_configuration_errors():
 
 
 def _sqrt_stack(pdfs):
-    # The rows the Hilbert matrix had before its one sqrt stack: one
-    # sqrt_transform per pdf.
-    return np.stack([sqrt_transform(p).grid.ravel() for p in pdfs])
+    # Independent oracle, not the code under test: the square-root form
+    # written out, the cellwise root over its discrete norm sqrt(sum / K^2).
+    rows = []
+    for p in pdfs:
+        psi = np.sqrt(p.grid)
+        rows.append((psi / np.sqrt(float((psi * psi).sum()) / psi.size)).ravel())
+    return np.stack(rows)
 
 
 def test_hilbert_matrix_equals_per_item_sqrt_rows():

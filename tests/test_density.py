@@ -8,6 +8,7 @@ from persphere.density import (
     cell_centers,
     kde,
     read_grid,
+    sqrt_stack,
     sqrt_transform,
     to_pdf,
     write_grid,
@@ -137,6 +138,39 @@ def test_sqrt_transform_uniform():
     psi = sqrt_transform(uniform)
     assert np.allclose(psi.grid, 1.0)
     assert ((psi.grid**2).sum() / 256) == pytest.approx(1.0, abs=1e-12)
+
+
+def _sqrt_formula(grid):
+    # Independent oracle: the cellwise root over its discrete norm
+    # sqrt(sum(psi^2) / K^2), written out.
+    psi = np.sqrt(grid)
+    k = psi.shape[0]
+    return psi / np.sqrt(float((psi * psi).sum()) / (k * k))
+
+
+@pytest.mark.parametrize("k", [2, 16, 64])
+def test_sqrt_stack_and_sqrt_transform_equal_the_formula(k):
+    rng = np.random.default_rng(17)
+    births = rng.uniform(0.0, 0.6, 200)
+    pdfs = [
+        kde(_pd([[0.3, 0.7]]), 0.1, k),
+        kde(_pd(np.column_stack([births, births + rng.uniform(0.02, 0.35, 200)])), 0.1, k),
+        PersistencePdf(grid=np.full((k, k), 1.0 / (k * k))),
+    ]
+    before = [p.grid.copy() for p in pdfs]
+    stack = sqrt_stack(pdfs)
+    assert stack.shape == (3, k, k)
+    for row, pdf, grid in zip(stack, pdfs, before):
+        want = _sqrt_formula(grid)
+        assert np.array_equal(row, want)
+        assert np.array_equal(sqrt_transform(pdf).grid, want)
+        assert np.array_equal(pdf.grid, grid)
+
+
+def test_sqrt_stack_rejects_mixed_resolutions():
+    pdfs = [kde(_pd([[0.3, 0.7]]), 0.05, 16), kde(_pd([[0.3, 0.7]]), 0.05, 32)]
+    with pytest.raises(ValueError, match="mixed grid resolutions"):
+        sqrt_stack(pdfs)
 
 
 def test_sqrt_transform_roundtrip():

@@ -320,3 +320,13 @@ def test_homology_dimensions_must_agree():
         brute_force(h0, h1, 1)
     with pytest.raises(ValueError, match="homology dimensions"):
         W.pair_distances([h0, h0], [h0, EMPTY], 1)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_pair_distances_rejects_sides_of_different_lengths(q):
+    # zip would pair only the first len(ys) items and leave the rest of the
+    # output uninitialised.
+    a, b = _line_pd(0.0, [0.5, 0.7]), _line_pd(0.0, [0.3])
+    for xs, ys in (([a, b, a], [b]), ([a], [b, a]), ([], [a])):
+        with pytest.raises(ValueError, match="differ in length"):
+            W.pair_distances(xs, ys, q)
