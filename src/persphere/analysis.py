@@ -276,13 +276,11 @@ def benchmark(
     Time per-pair distance computation for both metric families.
 
     Generates `trials` seeded random diagram pairs with `n_points` points
-    each. The matching side times one Wasserstein solve per pair (mean and
+    each. The matching side times one Hungarian solve per pair (mean and
     std over pairs). The sphere side amortizes density estimation (one
-    density per diagram in any realistic pipeline) and times the
-    trials x trials distance matrix between the x- and y-densities the way
-    `cross_distances` takes it: one matrix product, then clip and arccos.
-    Per-pair cost is the batch time over the trials^2 pairs, with mean and
-    std over `repeats` runs.
+    density per diagram in any realistic pipeline), then times the batched
+    inner-product-plus-arccos over all pairs; per-pair cost is the batch
+    time divided by the pair count, with mean and std over `repeats` runs.
     """
     if trials < 10:
         raise ValueError(f"need at least 10 trials, got {trials}")
@@ -294,25 +292,15 @@ def benchmark(
     ys = [random_diagram(rng, n_points) for _ in range(trials)]
 
     # Densities are computed once per diagram and reused across all pairs.
-    # The product reuses every row across a cache block, so its time
-    # follows the K^2 arithmetic. A one-pass einsum over the `trials` pairs
-    # reads each row once, so its time is memory traffic: at 1024 pairs a
-    # K=32 stack (16 MB) stays in cache between repeats and a K=64 stack
-    # (64 MB) does not on a shared 2-vCPU VM, and the K 32->64 ratio
-    # reads 8-9, not 4.
     cells = grid_size * grid_size
-    rows = sqrt_stack([kde(d, sigma, grid_size) for d in xs]).reshape(trials, cells)
-    cols = sqrt_stack([kde(d, sigma, grid_size) for d in ys]).reshape(trials, cells)
-    # Written in place, so page faults on a fresh result are not timed.
-    cosines = np.empty((trials, trials))
+    flat_x = sqrt_stack([kde(d, sigma, grid_size) for d in xs]).reshape(trials, cells)
+    flat_y = sqrt_stack([kde(d, sigma, grid_size) for d in ys]).reshape(trials, cells)
 
     def hilbert_batch():
         start = time.perf_counter()
-        np.matmul(rows, cols.T, out=cosines)
-        np.divide(cosines, cells, out=cosines)
-        np.clip(cosines, -1.0, 1.0, out=cosines)
-        np.arccos(cosines, out=cosines)
-        return (time.perf_counter() - start) / (trials * trials)
+        cosines = np.einsum("ij,ij->i", flat_x, flat_y) / cells
+        np.arccos(np.clip(cosines, -1.0, 1.0))
+        return (time.perf_counter() - start) / trials
 
     hilbert_batch()  # warmup
     hilbert_times = np.asarray([hilbert_batch() for _ in range(repeats)])
