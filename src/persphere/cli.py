@@ -219,12 +219,8 @@ def _cmd_pga(args) -> int:
     return EXIT_OK
 
 
-def _read_manifest_csv(path):
-    return read_csv(path, "path,label", text=2).text
-
-
 def _cmd_knn(args) -> int:
-    train = _read_manifest_csv(args.train)
+    train = read_csv(args.train, "path,label", text=2).text
     train_paths = [p for p, _ in train]
     train_labels = [lab for _, lab in train]
     scale, items = _read_inputs(args, train_paths + args.test, args.metric == "hilbert")

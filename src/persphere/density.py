@@ -140,6 +140,15 @@ def kde(pd: PersistenceDiagram, sigma: float, grid_size: int = 64) -> Persistenc
     return PersistencePdf(grid=grid, sigma=sigma)
 
 
+def _root_rows(pdfs, cells: int) -> np.ndarray:
+    # Row i is the root of pdfs[i].grid over its discrete norm; unchecked.
+    rows = np.empty((len(pdfs), cells))
+    for row, pdf in zip(rows, pdfs):
+        np.sqrt(pdf.grid.ravel(), out=row)
+        row /= np.sqrt(float((row * row).sum()) / cells)
+    return rows
+
+
 def sqrt_stack(pdfs) -> np.ndarray:
     """Square-root forms of pdfs of one resolution K, as an (n, K, K) array.
 
@@ -151,10 +160,7 @@ def sqrt_stack(pdfs) -> np.ndarray:
     if any(p.grid_size != k for p in pdfs):
         raise ValueError("pdfs have mixed grid resolutions")
     cells = k * k
-    rows = np.empty((len(pdfs), cells))
-    for row, pdf in zip(rows, pdfs):
-        np.sqrt(pdf.grid.ravel(), out=row)
-        row /= np.sqrt(float((row * row).sum()) / cells)
+    rows = _root_rows(pdfs, cells)
     norm_sq = np.einsum("ij,ij->i", rows, rows) / cells
     if not (np.abs(norm_sq - 1.0) <= NORM_TOL).all():
         raise ValueError("a square-root density does not have unit discrete norm")
@@ -162,8 +168,8 @@ def sqrt_stack(pdfs) -> np.ndarray:
 
 
 def sqrt_transform(pdf: PersistencePdf) -> SqrtDensity:
-    """Cellwise square root at unit discrete norm: `sqrt_stack` of one pdf."""
-    return SqrtDensity(grid=sqrt_stack([pdf])[0])
+    """The `sqrt_stack` row of one pdf; only `SqrtDensity` checks its unit norm."""
+    return SqrtDensity(grid=_root_rows([pdf], pdf.grid.size).reshape(pdf.grid.shape))
 
 
 def to_pdf(psi: SqrtDensity) -> PersistencePdf:

@@ -39,13 +39,9 @@ def grid_norm(values) -> float:
     return float(np.sqrt((v * v).sum() / v.size))
 
 
-def _clipped_cosine(p1: SqrtDensity, p2: SqrtDensity) -> float:
-    return min(1.0, max(-1.0, inner(p1.grid, p2.grid)))
-
-
 def distance(p1: SqrtDensity, p2: SqrtDensity) -> float:
     """Arc-length distance arccos of the inner product, in [0, pi/2]."""
-    return float(np.arccos(_clipped_cosine(p1, p2)))
+    return float(np.arccos(min(1.0, max(-1.0, inner(p1.grid, p2.grid)))))
 
 
 @dataclass
@@ -106,31 +102,56 @@ def exp_map(psi: SqrtDensity, v: TangentVector) -> SqrtDensity:
     return SqrtDensity(grid=out, clamp_mass=clamp_mass)
 
 
+def _lift_rows(mu: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """
+    Lift flat unit rows psi_k to the tangent space at the flat unit grid mu.
+
+    Overwrites each row by u_k = psi_k - c_k mu, c_k the clipped cosine, and
+    returns a_k = arccos(c_k) / |u_k|, so a_k u_k is the log map of psi_k;
+    a_k is 0 where the row equals mu or u_k is zero. Rows go in blocks of
+    about 2^20 cells, so no temporary is as large as the stack. Warns once if
+    any cosine is at most CLAMP_DIAGNOSTIC (the injectivity boundary).
+    """
+    n, cells = rows.shape
+    scales = np.zeros(n)
+    orthogonal = False
+    step = max(1, (1 << 20) // cells)
+    for s in range(0, n, step):
+        block = rows[s:s + step]
+        at_mu = (block == mu).all(axis=1)
+        cos = np.clip((block * mu).sum(axis=1) / cells, -1.0, 1.0)
+        orthogonal |= bool((cos <= CLAMP_DIAGNOSTIC).any())
+        block -= cos[:, None] * mu
+        norms = np.sqrt((block * block).sum(axis=1) / cells)
+        live = ~at_mu & (norms > 0.0)
+        scales[s:s + step][live] = np.arccos(cos[live]) / norms[live]
+    if orthogonal:
+        warnings.warn(
+            "densities are orthogonal to the base density; their lifts are the "
+            "projection boundary case",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return scales
+
+
 def log_map(psi_i: SqrtDensity, psi_j: SqrtDensity) -> TangentVector:
     """
     Tangent vector at `psi_i` whose exponential reaches `psi_j`.
 
-    The direction is psi_j minus its component along psi_i, rescaled to
-    norm arccos of the inner product, so |log| equals the arc distance and
-    exp_map(psi_i, log_map(psi_i, psi_j)) recovers psi_j. Identical inputs
-    give the zero vector; orthogonal inputs sit on the injectivity
-    boundary and are flagged with a warning.
+    The one-row case of `_lift_rows`: psi_j minus its component along
+    psi_i, rescaled to norm arccos of the inner product, so |log| equals the
+    arc distance and exp_map(psi_i, log_map(psi_i, psi_j)) recovers psi_j.
+    Identical inputs give the zero vector; orthogonal inputs sit on the
+    injectivity boundary and are flagged with a warning. Raises ValueError
+    for grids of different resolutions.
     """
-    if np.array_equal(psi_i.grid, psi_j.grid):
-        return zero_tangent(psi_i)
-    c = _clipped_cosine(psi_i, psi_j)
-    if c <= CLAMP_DIAGNOSTIC:
-        warnings.warn(
-            "densities are orthogonal; log direction is the projection boundary case",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    u = psi_j.grid - c * psi_i.grid
-    u_norm = grid_norm(u)
-    if u_norm == 0.0:
-        return zero_tangent(psi_i)
-    theta = float(np.arccos(c))
-    return TangentVector(psi_i, u * (theta / u_norm))
+    shape = psi_i.grid.shape
+    if psi_j.grid.shape != shape:
+        raise ValueError(f"grid shapes differ: {shape} vs {psi_j.grid.shape}")
+    u = psi_j.grid.reshape(1, -1).copy()
+    a = _lift_rows(psi_i.grid.ravel(), u)
+    return TangentVector(psi_i, (u[0] * a[0]).reshape(shape))
 
 
 def geodesic(p1: SqrtDensity, p2: SqrtDensity, s: float) -> SqrtDensity:
@@ -280,16 +301,14 @@ def pga_features(densities, n_components: int) -> tuple[PgaModel, np.ndarray]:
     output does not depend on the eigensolver's signs.
 
     The lifts are never formed. The grids are stacked once as rows psi_i
-    (the mean comes from the same stack), and each row is overwritten by
-    its projection u_i = psi_i - c_i mu off the mean mu, c_i the clipped
-    cosine. The lift of psi_i is a_i u_i with a_i = theta_i / |u_i| and
-    theta_i = arccos(c_i), or the zero vector where the density equals the
-    mean or u_i is zero, as in `log_map`. So the lifts' Gram matrix is
-    diag(a) (U U^T / K^2) diag(a), centered in O(n^2); the components are
-    one product of centered eigenvector weights with U, and the
-    coordinates one product of U with the components. U U^T is taken from
-    the projections, not as psi psi^T - c c^T, whose difference loses about
-    eight digits on a cluster of densities 1e-4 apart.
+    (the mean comes from the same stack), and `_lift_rows`, the rule behind
+    `log_map`, overwrites each row by its projection u_i off the mean and
+    returns the scales a_i that make a_i u_i the lift of psi_i. So the
+    lifts' Gram matrix is diag(a) (U U^T / K^2) diag(a), centered in O(n^2);
+    the components are one product of centered eigenvector weights with U,
+    and the coordinates one product of U with the components. U U^T is
+    taken from the projections, not as psi psi^T - c c^T, whose difference
+    loses about eight digits on a cluster of densities 1e-4 apart.
 
     Returns (model, coords): coords has shape (n, n_components) and holds
     what `project_coords` gives for each density.
@@ -308,31 +327,9 @@ def pga_features(densities, n_components: int) -> tuple[PgaModel, np.ndarray]:
         )
     mu = mean.grid.ravel()
     tangents = grids.reshape(n, cells)
-    cosines = np.empty(n)
-    at_mean = np.empty(n, dtype=bool)
-    # Row blocks of about 2^20 cells. The cosines are summed as `inner` sums
-    # them, so a density equal to the mean up to rounding gets the cosine,
-    # and so the zero lift, that `log_map` gives it.
-    step = max(1, (1 << 20) // cells)
-    for s in range(0, n, step):
-        block = tangents[s:s + step]
-        at_mean[s:s + step] = (block == mu).all(axis=1)
-        cos = np.clip((block * mu).sum(axis=1) / cells, -1.0, 1.0)
-        block -= cos[:, None] * mu
-        cosines[s:s + step] = cos
-    if np.any(cosines <= CLAMP_DIAGNOSTIC):
-        warnings.warn(
-            "densities are orthogonal to the mean; their lifts are the projection "
-            "boundary case",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    scale = _lift_rows(mu, tangents)
     gram = tangents @ tangents.T
     gram /= cells
-    norms = np.sqrt(np.diagonal(gram))
-    scale = np.zeros(n)
-    live = ~at_mean & (norms > 0.0)
-    scale[live] = np.arccos(cosines[live]) / norms[live]
     if np.any(np.abs(scale * (tangents @ mu)) / cells > TANGENCY_TOL):
         raise ValueError("values are not tangent to the base density")
     gram *= np.multiply.outer(scale, scale)

@@ -16,7 +16,7 @@ from persphere.analysis import (
 )
 from persphere.density import kde, read_grid, sqrt_transform
 from persphere.embedding import read_cloud, read_series
-from persphere.errors import ParseError
+from persphere.errors import ParseError, read_csv
 from persphere.persistence import PersistenceDiagram, read_diagrams
 from persphere.sphere import load_pga_model, pga, save_pga_model
 
@@ -32,8 +32,8 @@ READERS = [
     ("read_matrix", read_matrix, ",a,b", [["a", "0", "1"], ["b", "1", "0"]], 1),
     ("group_inputs", lambda p: cli._group_inputs([], p), "name,path",
      [["x", "a.csv"], ["y", "b.csv"]], None),
-    ("read_manifest_csv", cli._read_manifest_csv, "path,label",
-     [["a.csv", "one"], ["b.csv", "two"]], None),
+    ("read_manifest_csv", lambda p: read_csv(p, "path,label", text=2).text,
+     "path,label", [["a.csv", "one"], ["b.csv", "two"]], None),
     ("read_feature_csv", cli._read_feature_csv, "name,c0,c1",
      [["s0", "1", "2"], ["s1", "3", "4"]], 1),
     ("read_score_csv", lambda p: cli._read_score_csv(p, ["s0", "s1"]), "name,score",

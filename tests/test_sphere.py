@@ -149,6 +149,42 @@ def test_log_identity_and_zero():
     assert v.norm == 0.0
 
 
+def _explicit_lift(psi_i, psi_j):
+    # The log map written out for one pair, apart from the stacked lift that
+    # log_map and pga_features share: zero for identical grids, else
+    # psi_j - c psi_i (c the clipped cosine) rescaled to norm arccos(c).
+    if np.array_equal(psi_i.grid, psi_j.grid):
+        return np.zeros_like(psi_i.grid)
+    c = min(1.0, max(-1.0, inner(psi_i.grid, psi_j.grid)))
+    u = psi_j.grid - c * psi_i.grid
+    u_norm = grid_norm(u)
+    if u_norm == 0.0:
+        return np.zeros_like(psi_i.grid)
+    return u * (float(np.arccos(c)) / u_norm)
+
+
+def test_log_map_equals_the_explicit_formula():
+    rng = np.random.default_rng(30)
+    small = [sqrt_transform(kde(PersistenceDiagram(
+        1, np.sort(rng.uniform(0.05, 0.95, (3, 2)), axis=1)), 0.1, 16)) for _ in range(12)]
+    pairs = list(zip(_random_psis(31, 6), _random_psis(32, 6))) + list(zip(small[:6], small[6:]))
+    base = pairs[0][0]
+    pairs.append((base, base))
+    pairs.append((base, SqrtDensity(grid=base.grid.copy())))
+    for eps in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
+        grid = base.grid * (1.0 + eps * rng.standard_normal(base.grid.shape))
+        pairs.append((base, SqrtDensity(grid=grid / grid_norm(grid))))
+    for psi_i, psi_j in pairs:
+        assert np.array_equal(log_map(psi_i, psi_j).values, _explicit_lift(psi_i, psi_j))
+    a = _psi([[0.2, 0.5]], sigma=0.03)
+    b = _psi([[0.6, 0.9]], sigma=0.03)
+    with pytest.warns(RuntimeWarning, match="orthogonal to the base density"):
+        lift = log_map(a, b)
+    assert np.array_equal(lift.values, _explicit_lift(a, b))
+    with pytest.raises(ValueError, match="grid shapes differ"):
+        log_map(base, small[0])
+
+
 def test_geodesic_endpoints_and_proportionality():
     psi_a, psi_b = _random_psis(8, 2)
     d = distance(psi_a, psi_b)
@@ -226,13 +262,13 @@ def test_mean_heatmaps_same_modes_different_intensity():
 
 def _pga_by_lifts(densities, n_components):
     # The explicit-lift fit that pga_features replaced, kept as its oracle:
-    # one log_map per density, the centered lifts' Gram matrix, and its top
-    # eigenvectors combined with the centered lifts. Returns the variances,
-    # the unit directions with canonical signs (NaN rows where a
+    # one `_explicit_lift` per density, the centered lifts' Gram matrix, and
+    # its top eigenvectors combined with the centered lifts. Returns the
+    # variances, the unit directions with canonical signs (NaN rows where a
     # combination vanishes) and the coordinates.
     mean = extrinsic_mean(densities)
     cells = mean.grid.size
-    lifts = np.stack([log_map(mean, d).values.ravel() for d in densities])
+    lifts = np.stack([_explicit_lift(mean, d).ravel() for d in densities])
     centered = lifts - lifts.mean(axis=0)
     values, vectors = top_eigenpairs(centered @ centered.T / cells / len(densities), n_components)
     combos = vectors.T @ centered
@@ -329,7 +365,8 @@ def test_pga_warns_once_for_densities_orthogonal_to_the_mean(monkeypatch):
         warnings.simplefilter("always")
         model, coords = pga_features(psis, 2)
     assert [str(w.message) for w in caught] == [
-        "densities are orthogonal to the mean; their lifts are the projection boundary case"
+        "densities are orthogonal to the base density; their lifts are the projection "
+        "boundary case"
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
