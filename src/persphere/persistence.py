@@ -2,11 +2,12 @@
 
 `diagram_of_cloud` computes H0/H1 diagrams of a cloud's Rips filtration
 (optionally with temporal one-skeleton links) by union-find and persistent
-cohomology with clearing, without listing triangles. `build_rips` and
-`compute_persistence` build the filtration up to triangles and reduce its
-boundary matrix over Z/2; they are the reference the engine is tested
-against. Also: a union-find H0 over all pairwise edges, rescaling of
-diagrams to the unit square, and the diagram CSV format.
+cohomology with clearing; triangles are never listed, only numbered by
+their latest edge. `build_rips` and `compute_persistence` build the
+filtration up to triangles and reduce its boundary matrix over Z/2; they
+are the reference the engine is tested against. Also: a union-find H0
+over all pairwise edges, rescaling of diagrams to the unit square, and
+the diagram CSV format.
 """
 
 from __future__ import annotations
@@ -392,6 +393,14 @@ def diagram_of_cloud(
     column's pivot its earliest coface. The edges that merge H0 components
     are cleared, i.e. skipped; a column whose pivot is still unclaimed is
     paired at once, and full columns are built only when pivots collide.
+    Triangles are ordered by their latest edge, then the opposite vertex:
+    a refinement of the birth order, which leaves every death unchanged.
+
+    >>> pd0, pd1 = diagram_of_cloud([[0, 0], [1, 0], [1, 1], [0, 1]])
+    >>> pd1.pairs
+    array([[1.        , 1.41421356]])
+    >>> pd0.pairs.tolist()
+    [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]
     """
     pts = _as_cloud(cloud)
     births = _edge_births(pts, temporal_links)
@@ -460,52 +469,43 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
     """
     H1 pairs of the flag complex on the given edges (sorted by birth, i, j).
 
-    Births are replaced by levels, their indices among the distinct edge
-    births. A triangle a < b < c is keyed level * n^3 + (a * n + b) * n + c,
-    so keys sort in the (birth, a, b, c) filtration order and a column's
-    pivot is its smallest key. On a fixed edge the vertex part of the key
-    grows with the third vertex k, so the pivot minimizes level * n + k.
+    An edge's rank is its position in that order. A triangle is numbered
+    r * n + o, r the rank of its latest edge and o the vertex opposite it;
+    a column's pivot is its smallest number. This refines the birth order,
+    and over Z/2 the order within a birth moves no death: how many processed
+    columns have a pivot born by b is the rank of their rows born by b.
     """
     m = births.size
-    is_new = np.ones(m, dtype=bool)
-    is_new[1:] = births[1:] != births[:-1]
-    level = np.cumsum(is_new) - 1
-    absent = int(is_new.sum())  # the level of a missing edge, and of its triangles
-    n3 = n**3
-    if (absent + 1) * n3 > np.iinfo(np.int64).max:
-        raise ValueError(f"a cloud of {n} points is too large for 64-bit triangle keys")
-    lev = np.full((n, n), absent, dtype=np.int64)
-    lev[edges_i, edges_j] = lev[edges_j, edges_i] = level
+    rank = np.full((n, n), m, dtype=np.int64)  # m marks a missing edge
+    rank[edges_i, edges_j] = rank[edges_j, edges_i] = np.arange(m)
+    # Seen from edge (a, b), triangle {a, b, k} is first[late] + a + b + k,
+    # late its latest edge's rank; a missing edge puts it at m * n or past.
+    first = np.append(np.arange(m) * n - (edges_i + edges_j), m * n)
     creators = np.ones(m, dtype=bool)
     creators[merges] = False
     cand = np.nonzero(creators)[0]
     ci, cj = edges_i[cand], edges_j[cand]
-
-    def code(i, j, third):
-        """The vertex part of the keys of triangles {i, j, third}, i < j."""
-        a, c = np.minimum(i, third), np.maximum(j, third)
-        return (a * n + (i + j + third - a - c)) * n + c
+    verts = np.arange(n)
 
     def column(q):
-        """The sorted coboundary of candidate q; its first key is the pivot."""
-        row = np.maximum(np.maximum(lev[ci[q]], lev[cj[q]]), level[cand[q]])
-        third = np.nonzero(row < absent)[0]
-        return np.sort(row[third] * n3 + code(ci[q], cj[q], third))
+        """The sorted coboundary of candidate q; its first number is the pivot."""
+        late = np.maximum(np.maximum(rank[ci[q]], rank[cj[q]]), cand[q])
+        return np.sort((first[late] + (ci[q] + cj[q] + verts))[late < m])
 
     # Pivots of all candidate columns, a bounded block of rows at a time.
     pivots = np.empty(cand.size, dtype=np.int64)
     step = max(1, (1 << 18) // n)
     for s in range(0, cand.size, step):
         t = slice(s, s + step)
-        block = np.maximum(np.maximum(lev[ci[t]], lev[cj[t]]), level[cand[t], None])
-        third = (block * n + np.arange(n)).argmin(axis=1)
-        low = block[np.arange(third.size), third]
-        pivots[t] = np.where(low < absent, low * n3 + code(ci[t], cj[t], third), -1)
+        late = np.maximum(np.maximum(rank[ci[t]], rank[cj[t]]), cand[t, None])
+        k = late.argmin(axis=1)  # late ties only at this edge's rank, where o = k
+        low = first[late[np.arange(k.size), k]] + ci[t] + cj[t] + k
+        pivots[t] = np.where(low < m * n, low, -1)
 
     # A claimed pivot maps to its candidate while the column is still the
     # plain coboundary, and to the reduced column once one was built.
     claimed: dict[int, object] = {}
-    deaths: list[int | None] = [None] * cand.size  # pivot keys; None if essential
+    deaths: list[int | None] = [None] * cand.size  # pivot numbers; None if essential
     for q, pivot in zip(range(cand.size - 1, -1, -1), pivots[::-1].tolist()):
         low = None if pivot < 0 else pivot
         work = None  # the working column below its pivot `low`, as a heap
@@ -525,13 +525,13 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
             claimed[low] = np.concatenate(([low], keys[copies % 2 == 1]))
         deaths[q] = low
 
-    w, values = births.tolist(), births[is_new].tolist()
+    w = births.tolist()
     pairs, essential = [], []
     for e, key in zip(cand.tolist(), deaths):
         if key is None:
             essential.append(w[e])
-        elif values[key // n3] > w[e]:
-            pairs.append((w[e], values[key // n3]))
+        elif w[key // n] > w[e]:
+            pairs.append((w[e], w[key // n]))
     return PersistenceDiagram(1, np.asarray(pairs, dtype=float), np.asarray(essential))
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from persphere.embedding import delay_embed
 from persphere.errors import ParseError
 from persphere.persistence import (
     Filtration,
@@ -356,6 +357,23 @@ def test_engine_matches_reference_reduction_bytes(tmp_path):
                     compute_persistence(build_rips(cloud, reference, temporal)),
                 )
                 assert fast_path.read_bytes() == slow_path.read_bytes()
+
+
+def test_engine_matches_reference_on_a_linked_delay_embedding(tmp_path):
+    # A delay-embedded noisy sine with temporal links, the pipeline's own
+    # kind of input, at a size where reduced columns collide often; the
+    # rounded copy adds tied edge births.
+    rng = np.random.default_rng(89)
+    t = np.arange(120)
+    series = np.sin(2 * np.pi * t / 25) + 0.1 * rng.normal(size=t.size)
+    cloud = delay_embed(series, m=3, tau=10)
+    assert cloud.shape == (100, 3)
+    fast_path, slow_path = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    for points in (cloud, np.round(cloud, 1)):
+        write_diagrams(fast_path, diagram_of_cloud(points, temporal_links=True))
+        reference = build_rips(points, cloud_diameter(points), True)
+        write_diagrams(slow_path, compute_persistence(reference))
+        assert fast_path.read_bytes() == slow_path.read_bytes()
 
 
 def test_engine_rejects_bad_input():
