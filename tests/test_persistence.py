@@ -112,6 +112,27 @@ def test_persistence_rejects_missing_face():
         Filtration([((0,), 0.0), ((1,), 0.0), ((0, 1), 0.5), ((0, 2), 0.1)]).validate()
 
 
+@pytest.mark.parametrize(
+    "simplices, message",
+    [
+        ([((0, 1, 2, 3), 0.0)], "unsupported dimension"),
+        ([((), 0.0)], "unsupported dimension"),
+        ([((0,), 0.0), ((1,), 0.0), ((1, 0), 0.5)], "not strictly increasing"),
+        ([((0,), math.nan)], "invalid birth"),
+        ([((0,), -1.0)], "invalid birth"),
+        ([((0,), math.inf)], "invalid birth"),
+        ([((0,), 0.0), ((0,), 0.0)], "duplicate simplex"),
+        # A face born after its coface is always out of (birth, dim) order.
+        ([((0,), 0.0), ((1,), 0.5), ((0, 1), 0.3)], "out of order"),
+    ],
+)
+def test_filtration_contract_messages(simplices, message):
+    with pytest.raises(FiltrationError, match=message):
+        Filtration(simplices).validate()
+    with pytest.raises(FiltrationError, match=message):
+        compute_persistence(Filtration(simplices))
+
+
 def test_unionfind_collinear():
     pd = h0_unionfind(np.array([[0.0], [1.0], [2.0]]))
     assert pd.sorted_pairs().tolist() == [[0.0, 1.0], [0.0, 1.0]]
