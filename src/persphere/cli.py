@@ -69,6 +69,11 @@ def _read_inputs(args, paths, as_density=True):
     return scale, pdfs
 
 
+def _settings(args, scale) -> dict:
+    """The input settings a manifest records: those of `_add_input_args`."""
+    return {"dim": args.dim, "sigma": args.sigma, "grid_size": args.grid, "scale": scale}
+
+
 def _add_input_args(sub):
     sub.add_argument("--dim", type=int, default=1, choices=(0, 1))
     sub.add_argument("--sigma", type=float, default=DEFAULT_SIGMA,
@@ -156,15 +161,8 @@ def _cmd_distmat(args) -> int:
     matrix = analysis.DistanceMatrix(labels=labels, values=values, metric=args.metric)
     analysis.write_matrix(args.output, matrix)
     if args.manifest:
-        write_json(args.manifest, {
-            "metric": args.metric,
-            "dim": args.dim,
-            "sigma": args.sigma,
-            "grid_size": args.grid,
-            "scale": scale,
-            "channels": n_channels,
-            "labels": labels,
-        })
+        write_json(args.manifest, {**_settings(args, scale), "metric": args.metric,
+                                   "channels": n_channels, "labels": labels})
     print(f"{len(labels)}x{len(labels)} {args.metric} matrix -> {args.output}")
     return EXIT_OK
 
@@ -207,11 +205,7 @@ def _cmd_pga(args) -> int:
     write_csv(os.path.join(args.output_dir, "coords.csv"), coords,
               ["name", *(f"c{i}" for i in range(args.components))],
               [[_name(p)] for p in args.inputs])
-    sphere.save_pga_model(model, args.output_dir, metadata={
-        "sigma": args.sigma,
-        "scale": scale,
-        "dim": args.dim,
-    })
+    sphere.save_pga_model(model, args.output_dir, metadata=_settings(args, scale))
     print(
         f"pga: {args.components} components, variances "
         + " ".join(f"{v:.3e}" for v in model.variances)
@@ -230,15 +224,8 @@ def _cmd_knn(args) -> int:
     write_csv(args.output, np.empty((len(predictions), 0)), ["name", "label"],
               [[_name(p), label] for p, label in zip(args.test, predictions)])
     if args.manifest:
-        write_json(args.manifest, {
-            "metric": args.metric,
-            "dim": args.dim,
-            "k": args.k,
-            "sigma": args.sigma,
-            "grid_size": args.grid,
-            "scale": scale,
-            "train_size": len(train_labels),
-        })
+        write_json(args.manifest, {**_settings(args, scale), "metric": args.metric,
+                                   "k": args.k, "train_size": len(train_labels)})
     print(f"{len(predictions)} predictions -> {args.output}")
     return EXIT_OK
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -84,15 +85,6 @@ class PersistenceDiagram:
         return self.pairs[order]
 
 
-def _faces(verts: tuple[int, ...]):
-    if len(verts) == 2:
-        return ((verts[0],), (verts[1],))
-    if len(verts) == 3:
-        i, j, k = verts
-        return ((i, j), (i, k), (j, k))
-    return ()
-
-
 def _index_simplices(simplices):
     """
     Check the filtration contract and index the simplices by dimension.
@@ -101,8 +93,8 @@ def _index_simplices(simplices):
     births in filtration order, and for every simplex its position within
     its dimension. Raises FiltrationError on an unsupported dimension,
     vertices that are not strictly increasing, a negative or non-finite
-    birth, simplices out of (birth, dim, vertices) order, a missing face, a
-    face born after its coface, or a duplicate simplex.
+    birth, simplices out of (birth, dim, vertices) order (which covers a
+    face born after its coface), a missing face, or a duplicate simplex.
     """
     by_dim: tuple[list, list, list] = ([], [], [])
     births: tuple[list[float], ...] = ([], [], [])
@@ -120,12 +112,9 @@ def _index_simplices(simplices):
         if prev_key is not None and key < prev_key:
             raise FiltrationError(f"simplices out of order at index {idx}")
         prev_key = key
-        for face in _faces(verts):
-            fpos = rank.get(face)
-            if fpos is None:
+        for face in combinations(verts, d) if d else ():
+            if face not in rank:
                 raise FiltrationError(f"face {face} of {verts} is missing")
-            if births[d - 1][fpos] > birth:
-                raise FiltrationError(f"face {face} born after its coface {verts}")
         if verts in rank:
             raise FiltrationError(f"duplicate simplex {verts}")
         rank[verts] = len(by_dim[d])
@@ -198,21 +187,18 @@ def build_rips(cloud, max_scale: float, temporal_links: bool = False) -> Filtrat
     """
     pts = _as_cloud(cloud)
     _check_scale(max_scale)
-    n = pts.shape[0]
     births = _edge_births(pts, temporal_links)
-    adj = births <= max_scale
-    np.fill_diagonal(adj, False)
+    adj = births <= max_scale  # read only at i < j < k, so the diagonal may stay
 
-    simplices: list[tuple[tuple[int, ...], float]] = [((i,), 0.0) for i in range(n)]
+    simplices: list[tuple[tuple[int, ...], float]] = [((i,), 0.0) for i in range(len(pts))]
     edge_i, edge_j = np.nonzero(np.triu(adj, 1))
     for i, j in zip(edge_i.tolist(), edge_j.tolist()):
         simplices.append(((i, j), float(births[i, j])))
         ks = np.nonzero(adj[i] & adj[j])[0]
         ks = ks[ks > j]
-        if ks.size:
-            tri_birth = np.maximum(births[i, j], np.maximum(births[i, ks], births[j, ks]))
-            for k, b in zip(ks.tolist(), tri_birth.tolist()):
-                simplices.append(((i, j, k), float(b)))
+        tri_birth = np.maximum(births[i, j], np.maximum(births[i, ks], births[j, ks]))
+        for k, b in zip(ks.tolist(), tri_birth.tolist()):
+            simplices.append(((i, j, k), float(b)))
 
     simplices.sort(key=lambda s: (s[1], len(s[0]), s[0]))
     return Filtration(simplices)
@@ -225,13 +211,13 @@ def _reduce_block(columns, births):
     `columns` yields integer bitsets over rank-numbered rows of the
     previous dimension, in filtration order. Returns (pairs, creators):
     `pairs` maps pivot row -> birth of the destroying column; `creators`
-    flags columns that reduced to zero.
+    lists the ranks of the columns that reduced to zero.
     """
     pivot: dict[int, int] = {}
     pairs: dict[int, float] = {}
     creators = []
     pivot_get = pivot.get
-    for col, birth in zip(columns, births):
+    for r, (col, birth) in enumerate(zip(columns, births)):
         while col:
             low = col.bit_length() - 1
             held = pivot_get(low)
@@ -240,7 +226,8 @@ def _reduce_block(columns, births):
                 pairs[low] = birth
                 break
             col ^= held
-        creators.append(col == 0)
+        if col == 0:
+            creators.append(r)
     return pairs, creators
 
 
@@ -257,67 +244,34 @@ def compute_persistence(filtration: Filtration) -> tuple[PersistenceDiagram, Per
     the edge block (vertex rows, H0) and the triangle block (edge rows,
     H1) are processed independently with per-dimension row numbering;
     this is the textbook algorithm, with columns materialized lazily.
+
+    >>> pd0, pd1 = compute_persistence(build_rips([[0, 0], [1, 0], [1, 1], [0, 1]], 3.0))
+    >>> pd1.pairs.tolist() == [[1.0, math.sqrt(2.0)]]
+    True
     """
     by_dim, births, rank = _index_simplices(filtration.simplices)
 
-    def edge_columns():
-        for verts in by_dim[1]:
-            yield (1 << rank[(verts[0],)]) | (1 << rank[(verts[1],)])
+    def columns(d):
+        for verts in by_dim[d]:
+            col = 0
+            for face in combinations(verts, d):
+                col |= 1 << rank[face]
+            yield col
 
-    def triangle_columns():
-        for i, j, k in by_dim[2]:
-            yield (1 << rank[(i, j)]) | (1 << rank[(i, k)]) | (1 << rank[(j, k)])
-
-    pairs0, edge_creator = _reduce_block(edge_columns(), births[1])
-    pairs1, _ = _reduce_block(triangle_columns(), births[2])
-
-    h0_pairs, h0_ess = [], []
-    for v_rank, vbirth in enumerate(births[0]):
-        death = pairs0.get(v_rank)
-        if death is None:
-            h0_ess.append(vbirth)
-        elif death > vbirth:
-            h0_pairs.append((vbirth, death))
-
-    h1_pairs, h1_ess = [], []
-    for e_rank, is_creator in enumerate(edge_creator):
-        if not is_creator:
-            continue
-        ebirth = births[1][e_rank]
-        death = pairs1.get(e_rank)
-        if death is None:
-            h1_ess.append(ebirth)
-        elif death > ebirth:
-            h1_pairs.append((ebirth, death))
-
-    pd0 = PersistenceDiagram(0, np.asarray(h0_pairs, dtype=float), np.asarray(h0_ess))
-    pd1 = PersistenceDiagram(1, np.asarray(h1_pairs, dtype=float), np.asarray(h1_ess))
-    return pd0, pd1
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
+    deaths0, edge_creators = _reduce_block(columns(1), births[1])
+    deaths1, _ = _reduce_block(columns(2), births[2])
+    diagrams = []
+    for dim, creators, deaths in ((0, range(len(births[0])), deaths0),
+                                  (1, edge_creators, deaths1)):
+        pairs, essential = [], []
+        for r in creators:
+            birth, death = births[dim][r], deaths.get(r)
+            if death is None:
+                essential.append(birth)
+            elif death > birth:
+                pairs.append((birth, death))
+        diagrams.append(PersistenceDiagram(dim, pairs, essential))
+    return tuple(diagrams)
 
 
 def h0_unionfind(cloud, temporal_links: bool = False) -> PersistenceDiagram:
@@ -329,21 +283,29 @@ def h0_unionfind(cloud, temporal_links: bool = False) -> PersistenceDiagram:
     dropped. All merges are realized, which matches a filtration whose
     scale is at least the cloud diameter. One essential bar born at 0
     remains for the surviving component.
+
+    >>> pd = h0_unionfind([[0.0], [1.0], [2.0]])
+    >>> pd.pairs.tolist(), pd.essential.tolist()
+    ([[0.0, 1.0], [0.0, 1.0]], [0.0])
     """
     pts = _as_cloud(cloud)
-    n = pts.shape[0]
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = np.triu_indices(len(pts), 1)
     weights = _edge_births(pts, temporal_links)[iu, ju]
-    order = np.argsort(weights, kind="stable")
-    uf = _UnionFind(n)
-    deaths = []
-    for e in order.tolist():
-        if uf.union(int(iu[e]), int(ju[e])):
-            w = float(weights[e])
-            if w > 0:
-                deaths.append(w)
-    pairs = np.column_stack([np.zeros(len(deaths)), np.asarray(deaths)]) if deaths else np.empty((0, 2))
-    return PersistenceDiagram(0, pairs, np.asarray([0.0]))
+    parent = list(range(len(pts)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    pairs = []
+    for e in np.argsort(weights, kind="stable").tolist():
+        ri, rj = find(int(iu[e])), find(int(ju[e]))
+        if ri != rj:
+            parent[ri] = rj
+            if weights[e] > 0:
+                pairs.append((0.0, float(weights[e])))
+    return PersistenceDiagram(0, pairs, [0.0])
 
 
 def normalize_diagram(pd: PersistenceDiagram, scale: float) -> PersistenceDiagram:

@@ -106,11 +106,14 @@ def _lift_rows(mu: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """
     Lift flat unit rows psi_k to the tangent space at the flat unit grid mu.
 
-    Overwrites each row by u_k = psi_k - c_k mu, c_k the clipped cosine, and
-    returns a_k = arccos(c_k) / |u_k|, so a_k u_k is the log map of psi_k;
-    a_k is 0 where the row equals mu or u_k is zero. Rows go in blocks of
-    about 2^20 cells, so no temporary is as large as the stack. Warns once if
-    any cosine is at most CLAMP_DIAGNOSTIC (the injectivity boundary).
+    Overwrites each row by u_k = psi_k - c_k mu, c_k the clipped cosine,
+    projected off mu once more, and returns a_k = arccos(c_k) / |u_k|, so
+    a_k u_k is the log map of psi_k; a_k is 0 where the row equals mu or u_k
+    is zero. The second projection matters when psi_k and mu differ only by
+    rounding: the first leaves u_k as rounding noise lying mostly along mu.
+    Rows go in blocks of about 2^20 cells, so no temporary is as large as the
+    stack. Warns once if any cosine is at most CLAMP_DIAGNOSTIC (the
+    injectivity boundary).
     """
     n, cells = rows.shape
     scales = np.zeros(n)
@@ -122,6 +125,7 @@ def _lift_rows(mu: np.ndarray, rows: np.ndarray) -> np.ndarray:
         cos = np.clip((block * mu).sum(axis=1) / cells, -1.0, 1.0)
         orthogonal |= bool((cos <= CLAMP_DIAGNOSTIC).any())
         block -= cos[:, None] * mu
+        block -= ((block @ mu) / cells)[:, None] * mu
         norms = np.sqrt((block * block).sum(axis=1) / cells)
         live = ~at_mu & (norms > 0.0)
         scales[s:s + step][live] = np.arccos(cos[live]) / norms[live]
@@ -321,9 +325,10 @@ def pga_features(densities, n_components: int) -> tuple[PgaModel, np.ndarray]:
     mean = _mean_of_stack(grids)
     k = mean.grid_size
     cells = k * k
-    if not 1 <= n_components <= min(n - 1, cells):
+    # The tangent space at the mean has cells - 1 dimensions.
+    if not 1 <= n_components <= min(n - 1, cells - 1):
         raise ValueError(
-            f"n_components must be in [1, {min(n - 1, cells)}], got {n_components}"
+            f"n_components must be in [1, {min(n - 1, cells - 1)}], got {n_components}"
         )
     mu = mean.grid.ravel()
     tangents = grids.reshape(n, cells)

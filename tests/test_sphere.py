@@ -152,11 +152,13 @@ def test_log_identity_and_zero():
 def _explicit_lift(psi_i, psi_j):
     # The log map written out for one pair, apart from the stacked lift that
     # log_map and pga_features share: zero for identical grids, else
-    # psi_j - c psi_i (c the clipped cosine) rescaled to norm arccos(c).
+    # psi_j - c psi_i (c the clipped cosine), projected off psi_i once more,
+    # rescaled to norm arccos(c).
     if np.array_equal(psi_i.grid, psi_j.grid):
         return np.zeros_like(psi_i.grid)
     c = min(1.0, max(-1.0, inner(psi_i.grid, psi_j.grid)))
     u = psi_j.grid - c * psi_i.grid
+    u = u - (u.reshape(1, -1) @ psi_i.grid.ravel())[0] / u.size * psi_i.grid
     u_norm = grid_norm(u)
     if u_norm == 0.0:
         return np.zeros_like(psi_i.grid)
@@ -183,6 +185,18 @@ def test_log_map_equals_the_explicit_formula():
     assert np.array_equal(lift.values, _explicit_lift(a, b))
     with pytest.raises(ValueError, match="grid shapes differ"):
         log_map(base, small[0])
+
+
+def test_log_map_and_geodesic_accept_densities_that_differ_by_rounding():
+    # Each density against a copy scaled cellwise by 1 + 1e-16 N(0, 1) and
+    # renormalised: the cosine can round to 1 - 2.2e-16, an angle of 2.1e-8,
+    # and the lift of the rounding noise must still be tangent to the base.
+    rng = np.random.default_rng(3)
+    for psi in _random_psis(7, 400):
+        grid = psi.grid * (1.0 + 1e-16 * rng.standard_normal(psi.grid.shape))
+        near = SqrtDensity(grid=grid / grid_norm(grid))
+        assert log_map(psi, near).norm <= 1e-7
+        assert distance(psi, geodesic(psi, near, 0.5)) <= 1e-7
 
 
 def test_geodesic_endpoints_and_proportionality():
@@ -442,6 +456,16 @@ def test_pga_parameter_guards():
         pga(psis, 4)  # d > |set| - 1
     with pytest.raises(ValueError, match="resolution does not match"):
         project_coords(pga(psis, 2), SqrtDensity(grid=np.ones((8, 8))))
+
+
+def test_pga_components_are_bounded_by_the_tangent_dimension():
+    # At K = 2 the tangent space at the mean has 4 - 1 = 3 dimensions.
+    rng = np.random.default_rng(15)
+    grids = rng.uniform(0.1, 1.0, (8, 2, 2))
+    psis = [SqrtDensity(grid=g / grid_norm(g)) for g in grids]
+    assert pga(psis, 3).n_components == 3
+    with pytest.raises(ValueError, match=r"n_components must be in \[1, 3\], got 4"):
+        pga(psis, 4)
 
 
 def test_project_coords_properties():
