@@ -242,12 +242,9 @@ class BenchReport:
         if self.hilbert_mean_s <= 0 or self.w1_mean_s <= 0:
             raise ValueError("mean times must be positive")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def write_bench_report(path, report: BenchReport) -> None:
-    write_json(path, report.to_dict())
+    write_json(path, asdict(report))
 
 
 def read_bench_report(path) -> BenchReport:

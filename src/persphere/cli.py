@@ -15,7 +15,7 @@ import numpy as np
 
 from . import analysis, density, embedding, persistence, sphere
 from .errors import ParseError, read_csv, write_csv, write_json
-from .wasserstein import alexandrov_geodesic, wasserstein
+from .wasserstein import alexandrov_geodesic
 
 EXIT_OK = 0
 EXIT_NOT_FOUND = 2
@@ -118,12 +118,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_dist(args) -> int:
-    _, items = _read_inputs(args, [args.a, args.b], args.metric == "hilbert")
-    if args.metric == "hilbert":
-        value = sphere.distance(*(density.sqrt_transform(p) for p in items))
-    else:
-        value, _ = wasserstein(*items, 1 if args.metric == "w1" else 2)
-    print(f"{value:.17g}")
+    _, (a, b) = _read_inputs(args, [args.a, args.b], args.metric == "hilbert")
+    print(f"{analysis.cross_distances([a], [b], args.metric)[0, 0]:.17g}")
     return EXIT_OK
 
 
@@ -152,11 +148,10 @@ def _cmd_distmat(args) -> int:
         args, [paths[ch] for ch in range(n_channels) for _, paths in items],
         args.metric == "hilbert",
     )
-    # Channelwise matrices aggregated by mean distance across channels.
-    per_channel = [
-        analysis.distance_matrix(loaded[ch * n:(ch + 1) * n], args.metric, labels).values
-        for ch in range(n_channels)
-    ]
+    # Channelwise matrices aggregated by mean distance across channels. One
+    # list on both sides keeps each pair computed once and mirrored.
+    chunks = [loaded[ch * n:(ch + 1) * n] for ch in range(n_channels)]
+    per_channel = [analysis.cross_distances(c, c, args.metric) for c in chunks]
     values = sum(per_channel[1:], per_channel[0]) / n_channels
     matrix = analysis.DistanceMatrix(labels=labels, values=values, metric=args.metric)
     analysis.write_matrix(args.output, matrix)
@@ -174,16 +169,17 @@ def _cmd_geodesic(args) -> int:
     if args.space == "sphere":
         _, pdfs = _read_inputs(args, paths)
         psi_a, psi_b = (density.sqrt_transform(p) for p in pdfs)
+
+        def write_step(path, s):
+            density.write_grid(path, density.to_pdf(sphere.geodesic(psi_a, psi_b, s)).grid)
     else:
         pa, pb = (persistence.read_diagram(p, args.dim) for p in paths)
+
+        def write_step(path, s):
+            persistence.write_diagrams(path, [alexandrov_geodesic(pa, pb, s)])
     os.makedirs(args.output_dir, exist_ok=True)
     for i in range(args.steps):
-        s = i / (args.steps - 1)
-        path = os.path.join(args.output_dir, f"step_{i:03d}.csv")
-        if args.space == "sphere":
-            density.write_grid(path, density.to_pdf(sphere.geodesic(psi_a, psi_b, s)).grid)
-        else:
-            persistence.write_diagrams(path, [alexandrov_geodesic(pa, pb, s)])
+        write_step(os.path.join(args.output_dir, f"step_{i:03d}.csv"), i / (args.steps - 1))
     print(f"{args.steps} steps ({args.space}) -> {args.output_dir}")
     return EXIT_OK
 
@@ -448,7 +444,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: parse: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValueError, _CliParameterError) as exc:
+    except ValueError as exc:
         print(f"error: parameter: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
 

@@ -79,8 +79,6 @@ class PersistenceDiagram:
 
     def sorted_pairs(self) -> np.ndarray:
         """Pairs in lexicographic order, for multiset comparisons."""
-        if not self.pairs.size:
-            return self.pairs.reshape(0, 2)
         order = np.lexsort((self.pairs[:, 1], self.pairs[:, 0]))
         return self.pairs[order]
 
@@ -324,11 +322,11 @@ def normalize_diagram(pd: PersistenceDiagram, scale: float) -> PersistenceDiagra
         raise ValueError(
             f"normalization scale {scale} is smaller than coordinate {top}"
         )
-    pairs = pd.pairs / scale if pd.pairs.size else pd.pairs.reshape(0, 2)
+    pairs = pd.pairs / scale
     if pd.essential.size:
         capped = np.column_stack([pd.essential / scale, np.ones(pd.essential.size)])
         capped = capped[capped[:, 1] > capped[:, 0]]
-        pairs = np.vstack([pairs, capped]) if pairs.size else capped
+        pairs = np.vstack([pairs, capped])
     return PersistenceDiagram(pd.homology_dim, pairs, np.empty(0))
 
 

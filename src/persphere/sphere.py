@@ -280,10 +280,9 @@ def _complete_direction(mean: SqrtDensity, taken: np.ndarray) -> np.ndarray:
     # Squared Euclidean distance of every cell indicator from the span. As
     # 1 - |row|^2 it carries rounding of about 1e-16, so a cell already in
     # the span can read a few 1e-16; the threshold sits far above that.
+    # At most K^2 - 1 span columns leave gaps summing to >= 1, so one is >= 1/K^2.
     gaps = 1.0 - np.einsum("ij,ij->i", span, span)
     far = np.flatnonzero(gaps > 1e-12)
-    if far.size == 0:
-        raise ValueError("could not complete an orthonormal tangent direction")
     cand = -(span @ span[far[0]])
     cand[far[0]] += 1.0
     # Project once more: the first subtraction leaves rounding in the span.
@@ -315,7 +314,7 @@ def pga_features(densities, n_components: int) -> tuple[PgaModel, np.ndarray]:
     loses about eight digits on a cluster of densities 1e-4 apart.
 
     Returns (model, coords): coords has shape (n, n_components) and holds
-    what `project_coords` gives for each density.
+    what `project_coords` gives for each density, within rounding.
     """
     densities = list(densities)
     n = len(densities)

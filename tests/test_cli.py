@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from persphere import errors
-from persphere.analysis import read_matrix
-from persphere.cli import main
-from persphere.density import read_grid
+from persphere.analysis import cross_distances, read_matrix
+from persphere.cli import DEFAULT_GRID, DEFAULT_SIGMA, main
+from persphere.density import kde, read_grid
 from persphere.embedding import read_cloud, write_cloud
 from persphere.errors import ParseError
 from persphere.persistence import (
@@ -210,6 +210,31 @@ def test_dim0_matching_commands(tmp_path, capsys):
                "alexandrov", "--dim", 0, "--output-dir", geo) == 0
     mid = read_diagram(geo / "step_001.csv", 0)
     assert mid.pairs.shape[0] > 0 and np.all(mid.pairs[:, 0] == 0.0)
+
+
+@pytest.mark.parametrize("dim", [0, 1])
+@pytest.mark.parametrize("metric", ["hilbert", "w1", "w2"])
+def test_dist_prints_the_cross_distances_entry(tmp_path, capsys, metric, dim):
+    # `dist` is the 1x1 case of cross_distances, the one place that turns a
+    # metric name into a distance. For this seed a Hilbert value summed
+    # cell by cell would differ from it in the last digits, in both dims.
+    rng = np.random.default_rng(2)
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path in paths:
+        deaths = rng.uniform(0.05, 0.9, 6)
+        births = rng.uniform(0.1, 0.6, 5)
+        write_diagrams(path, [
+            PersistenceDiagram(0, np.column_stack([np.zeros(6), deaths]), [0.0]),
+            PersistenceDiagram(1, np.column_stack([births, births + rng.uniform(0.05, 0.4, 5)])),
+        ])
+    diagrams = [read_diagram(p, dim) for p in paths]
+    scale = max(d.max_finite() for d in diagrams)
+    items = [normalize_diagram(d, scale) for d in diagrams]
+    if metric == "hilbert":
+        items = [kde(d, DEFAULT_SIGMA, DEFAULT_GRID) for d in items]
+    assert run("dist", "--a", paths[0], "--b", paths[1], "--metric", metric, "--dim", dim) == 0
+    value = cross_distances(items[:1], items[1:], metric)[0, 0]
+    assert capsys.readouterr().out == f"{value:.17g}\n"
 
 
 def test_geodesic_endpoints_match_density(tmp_path):

@@ -405,3 +405,92 @@ def test_engine_rejects_bad_input():
     for scale in (0.0, -1.0, np.inf):
         with pytest.raises(ValueError):
             diagram_of_cloud(UNIT_SQUARE, max_scale=scale)
+
+
+# Gates at n=300, a size the reference reaches only below the diameter. The
+# noisy sine is delay-embedded as the pipeline does; "linked" is the cloud
+# with temporal links cut at 0.3 times its linked enclosing radius, "plain"
+# the cloud without links at the default cut.
+
+
+def _sine_cloud():
+    rng = np.random.default_rng(0)
+    t = np.arange(320)
+    series = np.sin(2 * np.pi * t / 25) + 0.1 * rng.normal(size=t.size)
+    return delay_embed(series, m=3, tau=10)
+
+
+def _linked_cut(cloud):
+    return 0.3 * float(_births(cloud, True).max(axis=1).min())
+
+
+@pytest.fixture(scope="module")
+def sine_settings():
+    """Per setting: the cloud's (max_scale, temporal_links, diagrams)."""
+    cloud = _sine_cloud()
+    assert cloud.shape == (300, 3)
+    settings = {"plain": (None, False), "linked": (_linked_cut(cloud), True)}
+    return cloud, {
+        name: (scale, links, diagram_of_cloud(cloud, scale, links))
+        for name, (scale, links) in settings.items()
+    }
+
+
+def test_engine_matches_reference_at_a_truncated_cut(tmp_path):
+    # Linked columns turn dense; the rounded copy adds tied edge births.
+    cloud = _sine_cloud()
+    fast_path, slow_path = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    for points in (cloud, np.round(cloud, 1)):
+        cut = _linked_cut(points)
+        write_diagrams(fast_path, diagram_of_cloud(points, cut, True))
+        write_diagrams(slow_path, compute_persistence(build_rips(points, cut, True)))
+        assert fast_path.read_bytes() == slow_path.read_bytes()
+
+
+@pytest.mark.parametrize("setting", ["plain", "linked"])
+def test_scaling_by_a_power_of_two_scales_the_diagrams_exactly(sine_settings, setting):
+    # Scaling by 4 commutes with rounding in every difference, square, sum
+    # and square root, so every value scales exactly and no order changes.
+    cloud, settings = sine_settings
+    scale, links, diagrams = settings[setting]
+    scaled = diagram_of_cloud(4.0 * cloud, None if scale is None else 4.0 * scale, links)
+    for pd, big in zip(diagrams, scaled):
+        assert np.array_equal(big.pairs, 4.0 * pd.pairs)
+        assert np.array_equal(big.essential, 4.0 * pd.essential)
+
+
+@pytest.mark.parametrize("setting", ["plain", "linked"])
+def test_negating_a_coordinate_keeps_the_diagram_bytes(tmp_path, sine_settings, setting):
+    cloud, settings = sine_settings
+    scale, links, diagrams = settings[setting]
+    path, mirrored_path = tmp_path / "pd.csv", tmp_path / "mirrored.csv"
+    write_diagrams(path, diagrams)
+    write_diagrams(mirrored_path, diagram_of_cloud(cloud * [1.0, -1.0, 1.0], scale, links))
+    assert mirrored_path.read_bytes() == path.read_bytes()
+
+
+def test_permuting_an_unlinked_cloud_keeps_the_diagrams(sine_settings):
+    cloud, settings = sine_settings
+    _, _, diagrams = settings["plain"]
+    perm = np.random.default_rng(5).permutation(cloud.shape[0])
+    for pd, shuffled in zip(diagrams, diagram_of_cloud(cloud[perm])):
+        assert np.array_equal(shuffled.sorted_pairs(), pd.sorted_pairs())
+        assert np.array_equal(np.sort(shuffled.essential), np.sort(pd.essential))
+
+
+def test_a_far_point_adds_one_h0_pair(tmp_path, sine_settings):
+    # A point 3 diameters from the cloud joins it last, by its nearest edge,
+    # once every old edge is in: one more H0 pair and no new H1 class.
+    cloud, settings = sine_settings
+    _, _, (pd0, pd1) = settings["plain"]
+    far = cloud[0] + [3.0 * cloud_diameter(cloud), 0.0, 0.0]
+    grown = np.vstack([cloud, far])
+    nearest = _births(grown, False)[-1, :-1].min()
+    grown0, grown1 = diagram_of_cloud(grown)
+    expected = PersistenceDiagram(0, np.vstack([pd0.pairs, [[0.0, nearest]]]))
+    assert np.array_equal(grown0.sorted_pairs(), expected.sorted_pairs())
+    assert np.array_equal(grown0.essential, pd0.essential)
+    path, grown_path = tmp_path / "h1.csv", tmp_path / "grown.csv"
+    write_diagrams(path, [pd1])
+    write_diagrams(grown_path, [grown1])
+    assert grown_path.read_bytes() == path.read_bytes()
