@@ -3,16 +3,16 @@
 `diagram_of_cloud` computes H0/H1 diagrams of a cloud's Rips filtration
 (optionally with temporal one-skeleton links) by union-find and persistent
 cohomology with clearing; triangles are never listed, only numbered by
-their latest edge. `build_rips` and `compute_persistence` build the
-filtration up to triangles and reduce its boundary matrix over Z/2; they
-are the reference the engine is tested against. Also: a union-find H0
-over all pairwise edges, rescaling of diagrams to the unit square, and
-the diagram CSV format.
+their latest edge, and a column is reduced in a parity array over those
+numbers (m·n bytes for m edges and n points). `build_rips` and
+`compute_persistence` build the filtration up to triangles and reduce its
+boundary matrix over Z/2: the reference the engine is tested against.
+Also: a union-find H0 over all pairwise edges, rescaling of diagrams to
+the unit square, and the diagram CSV format.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -355,6 +355,8 @@ def diagram_of_cloud(
     paired at once, and full columns are built only when pivots collide.
     Triangles are ordered by their latest edge, then the opposite vertex:
     a refinement of the birth order, which leaves every death unchanged.
+    Columns are reduced in one parity array over the triangle numbers: a
+    call holds m·n bytes for m edges below the cut, plus stored columns.
 
     >>> pd0, pd1 = diagram_of_cloud([[0, 0], [1, 0], [1, 1], [0, 1]])
     >>> pd1.pairs
@@ -409,22 +411,6 @@ def _h0_by_union_find(n: int, edges_i, edges_j, births):
     return pd, list(killed_by.values())
 
 
-def _pop_pivot(heap: list[int]) -> int | None:
-    """
-    Pop the smallest key of odd multiplicity from a heap of column keys.
-
-    Copies of a key cancel in pairs over Z/2; those met on the way are
-    dropped. Returns None when the column is zero.
-    """
-    while heap:
-        key = heapq.heappop(heap)
-        if heap and heap[0] == key:
-            heapq.heappop(heap)
-        else:
-            return key
-    return None
-
-
 def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDiagram:
     """
     H1 pairs of the flag complex on the given edges (sorted by birth, i, j).
@@ -434,6 +420,10 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
     a column's pivot is its smallest number. This refines the birth order,
     and over Z/2 the order within a birth moves no death: how many processed
     columns have a pivot born by b is the rank of their rows born by b.
+
+    The working column is `work`: one bool per number, plus a sentinel at
+    m * n, always set, that marks a zero column. An addition toggles numbers
+    >= the pivot in one scatter, so one forward scan per column finds pivots.
     """
     m = births.size
     rank = np.full((n, n), m, dtype=np.int64)  # m marks a missing edge
@@ -448,9 +438,9 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
     verts = np.arange(n)
 
     def column(q):
-        """The sorted coboundary of candidate q; its first number is the pivot."""
+        """The coboundary of candidate q, unsorted; its smallest number is the pivot."""
         late = np.maximum(np.maximum(rank[ci[q]], rank[cj[q]]), cand[q])
-        return np.sort((first[late] + (ci[q] + cj[q] + verts))[late < m])
+        return (first[late] + (ci[q] + cj[q] + verts))[late < m]
 
     # Pivots of all candidate columns, a bounded block of rows at a time.
     pivots = np.empty(cand.size, dtype=np.int64)
@@ -460,30 +450,38 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
         late = np.maximum(np.maximum(rank[ci[t]], rank[cj[t]]), cand[t, None])
         k = late.argmin(axis=1)  # late ties only at this edge's rank, where o = k
         low = first[late[np.arange(k.size), k]] + ci[t] + cj[t] + k
-        pivots[t] = np.where(low < m * n, low, -1)
+        pivots[t] = np.minimum(low, m * n)  # m * n: no coface
 
     # A claimed pivot maps to its candidate while the column is still the
     # plain coboundary, and to the reduced column once one was built.
     claimed: dict[int, object] = {}
     deaths: list[int | None] = [None] * cand.size  # pivot numbers; None if essential
-    for q, pivot in zip(range(cand.size - 1, -1, -1), pivots[::-1].tolist()):
-        low = None if pivot < 0 else pivot
-        work = None  # the working column below its pivot `low`, as a heap
+    work = np.zeros(m * n + 1, dtype=bool)  # the working column, one parity per number
+    work[m * n] = True  # sentinel: a column whose pivot reaches it is zero
+    for q, low in zip(range(cand.size - 1, -1, -1), pivots[::-1].tolist()):
+        added = []  # the columns summed into `work`; each has distinct keys
         while low in claimed:
-            if work is None:
-                work = column(q)[1:].tolist()
+            if not added:
+                added.append(column(q))
+                work[added[0]] = True
             other = claimed[low]
             if isinstance(other, int):
                 other = claimed[low] = column(other)
-            for key in other[1:].tolist():
-                heapq.heappush(work, key)
-            low = _pop_pivot(work)
-        if low is not None and work is None:
-            claimed[low] = q
-        elif low is not None:
-            keys, copies = np.unique(np.asarray(work, dtype=np.int64), return_counts=True)
-            claimed[low] = np.concatenate(([low], keys[copies % 2 == 1]))
-        deaths[q] = low
+            work[other] ^= True
+            added.append(other)
+            low += int(work[low:].argmax())  # every key added was >= low
+        if low == m * n:
+            continue
+        deaths[q], claimed[low] = low, q
+        if added:
+            # Keep each added column's still-set keys, clearing them as they
+            # are kept: faster than sorting the keys or scanning the range.
+            kept = []
+            for keys in added:
+                kept.append(keys[work[keys]])
+                work[kept[-1]] = False
+            claimed[low] = np.concatenate(kept)
+    del work  # return its m * n bytes before the output lists are built
 
     w = births.tolist()
     pairs, essential = [], []

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -494,3 +495,50 @@ def test_a_far_point_adds_one_h0_pair(tmp_path, sine_settings):
     write_diagrams(path, [pd1])
     write_diagrams(grown_path, [grown1])
     assert grown_path.read_bytes() == path.read_bytes()
+
+
+# The same sine with temporal links at the default cut: the densest reduced
+# columns of any gate, where one early edge's column takes hundreds of
+# additions spread over the whole triangle numbering.
+
+
+@pytest.fixture(scope="module")
+def dense_linked():
+    cloud = _sine_cloud()
+    return cloud, diagram_of_cloud(cloud, None, True)
+
+
+def test_scaling_a_densely_linked_cloud_scales_the_diagrams_exactly(dense_linked):
+    cloud, diagrams = dense_linked
+    assert diagrams[1].pairs.shape[0] > 300
+    for pd, big in zip(diagrams, diagram_of_cloud(4.0 * cloud, None, True)):
+        assert np.array_equal(big.pairs, 4.0 * pd.pairs)
+        assert np.array_equal(big.essential, 4.0 * pd.essential)
+
+
+def test_negating_a_coordinate_of_a_densely_linked_cloud_keeps_the_bytes(tmp_path, dense_linked):
+    cloud, diagrams = dense_linked
+    path, mirrored_path = tmp_path / "pd.csv", tmp_path / "mirrored.csv"
+    write_diagrams(path, diagrams)
+    write_diagrams(mirrored_path, diagram_of_cloud(cloud * [1.0, 1.0, -1.0], None, True))
+    assert mirrored_path.read_bytes() == path.read_bytes()
+
+
+def test_a_column_that_cancels_to_zero_ends_its_reduction():
+    # Below the enclosing radius this cloud keeps one essential H1 class.
+    # Its edge's column meets a claimed pivot, takes an addition and
+    # cancels to zero; the reduction must stop there, not spin.
+    cloud = np.array([[0.058, -0.479], [-0.688, -0.348], [0.131, -0.779], [1.887, -0.195],
+                      [-0.194, 1.574], [1.554, 1.32], [1.159, -1.911]])
+    cut = 0.6 * cloud_diameter(cloud)
+    result = []
+    worker = threading.Thread(
+        target=lambda: result.append(diagram_of_cloud(cloud, cut)), daemon=True
+    )
+    worker.start()
+    worker.join(timeout=20)
+    assert not worker.is_alive()
+    _, pd1 = result[0]
+    _, reference = compute_persistence(build_rips(cloud, cut))
+    assert pd1.pairs.size == 0
+    assert pd1.essential.tolist() == reference.essential.tolist() == [1.9844697024646156]
