@@ -99,9 +99,11 @@ def write_csv(path, values, header=None, text=None) -> None:
     if rows.ndim != 2:
         raise ValueError("values must be a 2-D array")
     text = [[]] * rows.shape[0] if text is None else text
-    for cell in [*(header or []), *(c for row in text for c in row)]:
-        if any(ch in cell for ch in ",\r\n"):
-            raise ValueError(f"{path}: text cell {cell!r} contains a comma or line break")
+    cells = [*(header or []), *(c for row in text for c in row)]
+    joined = "".join(cells)
+    if "," in joined or "\r" in joined or "\n" in joined:
+        cell = next(c for c in cells if "," in c or "\r" in c or "\n" in c)
+        raise ValueError(f"{path}: text cell {cell!r} contains a comma or line break")
     width = len(text[0]) if text else 0
     template = ",".join(["%s"] * width + ["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

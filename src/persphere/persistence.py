@@ -3,10 +3,11 @@
 `diagram_of_cloud` computes H0/H1 diagrams of a cloud's Rips filtration
 (optionally with temporal one-skeleton links) by union-find and persistent
 cohomology with clearing; triangles are never listed, only numbered by
-their latest edge, and a column is reduced in a parity array over those
-numbers (m·n bytes for m edges and n points). `build_rips` and
-`compute_persistence` build the filtration up to triangles and reduce its
-boundary matrix over Z/2: the reference the engine is tested against.
+their latest edge, apparent pairs are paired in bulk, and the other
+columns are reduced in a parity array over those numbers (m·n bytes for m
+edges and n points). `build_rips` and `compute_persistence` build the
+filtration up to triangles and reduce its boundary matrix over Z/2: the
+reference the engine is tested against.
 Also: a union-find H0 over all pairwise edges, rescaling of diagrams to
 the unit square, and the diagram CSV format.
 """
@@ -351,12 +352,15 @@ def diagram_of_cloud(
     columns over Z/2 (persistent cohomology has the same pairs as
     homology), walking the edges in reverse filtration order with each
     column's pivot its earliest coface. The edges that merge H0 components
-    are cleared, i.e. skipped; a column whose pivot is still unclaimed is
-    paired at once, and full columns are built only when pivots collide.
-    Triangles are ordered by their latest edge, then the opposite vertex:
-    a refinement of the birth order, which leaves every death unchanged.
-    Columns are reduced in one parity array over the triangle numbers: a
-    call holds m·n bytes for m edges below the cut, plus stored columns.
+    are cleared, i.e. skipped. Triangles are ordered by their latest edge,
+    then the opposite vertex: a refinement of the birth order, which leaves
+    every death unchanged. One vectorised pass over int32 edge ranks finds
+    every pivot, and the apparent pairs, whose pivot's latest edge is the
+    column's own edge, are paired at once; full columns are built only
+    when the other columns' pivots collide. Those are reduced in one parity
+    array over the triangle numbers. For m edges below the cut and n points
+    a call holds m·n bytes for it, 4n² bytes of ranks, about 40 bytes per
+    edge for pivots and pairs, and the stored columns.
 
     >>> pd0, pd1 = diagram_of_cloud([[0, 0], [1, 0], [1, 1], [0, 1]])
     >>> pd1.pairs
@@ -421,76 +425,117 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
     and over Z/2 the order within a birth moves no death: how many processed
     columns have a pivot born by b is the rank of their rows born by b.
 
-    The working column is `work`: one bool per number, plus a sentinel at
-    m * n, always set, that marks a zero column. An addition toggles numbers
-    >= the pivot in one scatter, so one forward scan per column finds pivots.
+    A candidate whose pivot t has the candidate itself as latest edge is an
+    apparent pair (Bauer, Ripser, 2021, section 3): every face of t comes
+    no later than that edge, so no column reduced before it reaches t, and
+    the pair is final. All apparent pairs are found and set in one
+    vectorised step; only the other candidates are reduced, and one of
+    them that meets t finds its owner through t's latest edge.
+
+    Ranks and endpoints are int32, triangle numbers int64. The working
+    column is `work`: one bool per number, plus a sentinel at m * n, always
+    set, that marks a zero column, plus 3 * n junk bools past it where a
+    coboundary puts its missing triangles. An addition toggles numbers >=
+    the pivot in one scatter, so one forward scan per column finds pivots.
+    The working set is those m * n + 3 * n bytes, 4 * n * n bytes of ranks,
+    about 40 bytes per edge for pivots, owners and deaths, and 8 bytes per
+    number of each kept column.
     """
     m = births.size
-    rank = np.full((n, n), m, dtype=np.int64)  # m marks a missing edge
-    rank[edges_i, edges_j] = rank[edges_j, edges_i] = np.arange(m)
+    mn = m * n
+    rank = np.full((n, n), m, dtype=np.int32)  # m marks a missing edge
+    rank[edges_i, edges_j] = rank[edges_j, edges_i] = np.arange(m, dtype=np.int32)
     # Seen from edge (a, b), triangle {a, b, k} is first[late] + a + b + k,
-    # late its latest edge's rank; a missing edge puts it at m * n or past.
-    first = np.append(np.arange(m) * n - (edges_i + edges_j), m * n)
+    # late its latest edge's rank; a missing edge puts it past m * n.
+    first = np.append(np.arange(m) * n - (edges_i + edges_j), mn)
     creators = np.ones(m, dtype=bool)
     creators[merges] = False
-    cand = np.nonzero(creators)[0]
-    ci, cj = edges_i[cand], edges_j[cand]
+    cand = np.flatnonzero(creators).astype(np.int32)
+    ci, cj = edges_i[cand].astype(np.int32), edges_j[cand].astype(np.int32)
     verts = np.arange(n)
 
     def column(q):
-        """The coboundary of candidate q, unsorted; its smallest number is the pivot."""
-        late = np.maximum(np.maximum(rank[ci[q]], rank[cj[q]]), cand[q])
-        return (first[late] + (ci[q] + cj[q] + verts))[late < m]
+        """The coboundary of candidate q, unsorted, its smallest number the
+        pivot; numbers past m * n stand for missing triangles."""
+        a, b = ci.item(q), cj.item(q)
+        late = np.maximum(rank[a], rank[b])
+        np.maximum(late, cand.item(q), out=late)
+        keys = first[late]
+        keys += verts
+        keys += a + b
+        return keys
 
-    # Pivots of all candidate columns, a bounded block of rows at a time.
-    pivots = np.empty(cand.size, dtype=np.int64)
+    # Pivots of all candidate columns, a bounded block of rows at a time;
+    # pivots[cand.size] = -1 stands for a non-candidate and equals no number.
+    pivots = np.full(cand.size + 1, -1, dtype=np.int64)
     step = max(1, (1 << 18) // n)
     for s in range(0, cand.size, step):
-        t = slice(s, s + step)
-        late = np.maximum(np.maximum(rank[ci[t]], rank[cj[t]]), cand[t, None])
+        t = slice(s, min(s + step, cand.size))
+        late = np.maximum(rank[ci[t]], rank[cj[t]])
+        np.maximum(late, cand[t, None], out=late)
         k = late.argmin(axis=1)  # late ties only at this edge's rank, where o = k
         low = first[late[np.arange(k.size), k]] + ci[t] + cj[t] + k
-        pivots[t] = np.minimum(low, m * n)  # m * n: no coface
+        pivots[t] = np.minimum(low, mn)  # m * n: no coface
+    owner = np.full(m + 1, cand.size, dtype=np.int32)  # edge rank -> its candidate
+    owner[cand] = np.arange(cand.size, dtype=np.int32)
 
+    apparent = pivots[:-1] // n == cand
+    deaths = np.full(cand.size, mn)  # pivot numbers; m * n if essential
+    deaths[apparent] = pivots[:-1][apparent]
     # A claimed pivot maps to its candidate while the column is still the
-    # plain coboundary, and to the reduced column once one was built.
+    # plain coboundary, and to the column's numbers below m * n once they are
+    # kept. An apparent pivot enters it when a reduction first meets it.
+    # Masking a plain column to keep it costs about a third of rebuilding
+    # it, and most plain columns are met once; so a column is kept when it
+    # is met again, or at once after more than a quarter of those met so
+    # far were met again, as in sparse linked clouds (a quarter, not a
+    # third: the pivots met last have had little time to be met again).
     claimed: dict[int, object] = {}
-    deaths: list[int | None] = [None] * cand.size  # pivot numbers; None if essential
-    work = np.zeros(m * n + 1, dtype=bool)  # the working column, one parity per number
-    work[m * n] = True  # sentinel: a column whose pivot reaches it is zero
-    for q, low in zip(range(cand.size - 1, -1, -1), pivots[::-1].tolist()):
+    seen, again = set(), 0  # plain pivots met and not kept; how many were met again
+    work = np.zeros(mn + 3 * n, dtype=bool)  # the working column, one parity per number
+    work[mn] = True  # sentinel: a column whose pivot reaches it is zero
+    loop = np.flatnonzero(~apparent & (pivots[:-1] < mn))[::-1]
+    for q, low in zip(loop.tolist(), pivots[loop].tolist()):
         added = []  # the columns summed into `work`; each has distinct keys
-        while low in claimed:
+        while True:
+            other = claimed.get(low)
+            if other is None:
+                other = owner.item(low // n)
+                if pivots.item(other) != low:
+                    break
+            if isinstance(other, int):
+                other = column(other)
+                if low in seen:
+                    again += 1
+                if low in seen or 4 * again > len(seen):
+                    other = claimed[low] = other[other < mn]
+                else:
+                    seen.add(low)
             if not added:
                 added.append(column(q))
                 work[added[0]] = True
-            other = claimed[low]
-            if isinstance(other, int):
-                other = claimed[low] = column(other)
             work[other] ^= True
             added.append(other)
             low += int(work[low:].argmax())  # every key added was >= low
-        if low == m * n:
+        if low == mn:
             continue
         deaths[q], claimed[low] = low, q
         if added:
             # Keep each added column's still-set keys, clearing them as they
             # are kept: faster than sorting the keys or scanning the range.
+            work[mn + 1:] = False  # so that no junk number is kept
             kept = []
             for keys in added:
                 kept.append(keys[work[keys]])
                 work[kept[-1]] = False
             claimed[low] = np.concatenate(kept)
-    del work  # return its m * n bytes before the output lists are built
+    del work  # return its m * n bytes before the output is built
 
-    w = births.tolist()
-    pairs, essential = [], []
-    for e, key in zip(cand.tolist(), deaths):
-        if key is None:
-            essential.append(w[e])
-        elif w[key // n] > w[e]:
-            pairs.append((w[e], w[key // n]))
-    return PersistenceDiagram(1, np.asarray(pairs, dtype=float), np.asarray(essential))
+    born = births[cand]
+    dead = deaths < mn
+    died = births[deaths[dead] // n]
+    pairs = np.column_stack([born[dead], died])[died > born[dead]]
+    return PersistenceDiagram(1, pairs, born[~dead])
 
 
 def write_diagrams(path, diagrams) -> None:

@@ -542,3 +542,16 @@ def test_a_column_that_cancels_to_zero_ends_its_reduction():
     _, reference = compute_persistence(build_rips(cloud, cut))
     assert pd1.pairs.size == 0
     assert pd1.essential.tolist() == reference.essential.tolist() == [1.9844697024646156]
+
+
+def test_a_reduction_through_apparent_pairs_matches_the_reference(tmp_path):
+    # With temporal links, four additions in this cloud's H1 reduction add
+    # the column of an apparent pair, found through the latest edge of the
+    # pivot it owns: the reduction must add exactly those columns.
+    cloud = np.array([[0.8, 0.3], [-1.3, 0.9], [0.4, -0.5], [0.6, 0.4], [0.3, 0.0],
+                      [0.5, -0.7], [-0.2, -0.5], [0.6, 0.0], [-0.3, -0.8]])
+    fast_path, slow_path = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    write_diagrams(fast_path, diagram_of_cloud(cloud, temporal_links=True))
+    reference = build_rips(cloud, cloud_diameter(cloud), True)
+    write_diagrams(slow_path, compute_persistence(reference))
+    assert fast_path.read_bytes() == slow_path.read_bytes()

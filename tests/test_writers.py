@@ -77,3 +77,12 @@ def test_load_pga_model_truncated_manifest(tmp_path):
     manifest.write_bytes(manifest.read_bytes()[:10])
     with pytest.raises(ParseError, match=f"^{manifest}: invalid JSON: "):
         load_pga_model(tmp_path)
+
+
+def test_write_csv_names_the_first_cell_with_a_separator(tmp_path):
+    path = tmp_path / "t.csv"
+    text = [["ok"], ["a\nb"], ["c,d"]]
+    message = f"{path}: text cell 'a\\nb' contains a comma or line break"
+    with pytest.raises(ValueError) as caught:
+        errors.write_csv(path, np.zeros((3, 1)), ["name"], text)
+    assert str(caught.value) == message
