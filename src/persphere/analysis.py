@@ -339,26 +339,15 @@ def _loop_points(rng: np.random.Generator, n: int, center, radius: float) -> np.
     )
 
 
-def _one_loop(rng: np.random.Generator, n: int) -> np.ndarray:
-    return _loop_points(rng, n, (0.0, 0.0), 1.0)
-
-
-def _two_loops(rng: np.random.Generator, n: int) -> np.ndarray:
-    half = n // 2
-    first = _loop_points(rng, half, (-0.8, 0.0), 0.45)
-    second = _loop_points(rng, n - half, (0.8, 0.0), 0.45)
-    return np.vstack([first, second])
-
-
-def _uniform_noise(rng: np.random.Generator, n: int) -> np.ndarray:
+def _cloud(rng: np.random.Generator, label: str, n: int) -> np.ndarray:
+    # One cloud of n points of the class `label`, one of CLASS_LABELS.
+    if label == "one_loop":
+        return _loop_points(rng, n, (0.0, 0.0), 1.0)
+    if label == "two_loops":
+        half = n // 2
+        return np.vstack([_loop_points(rng, half, (-0.8, 0.0), 0.45),
+                          _loop_points(rng, n - half, (0.8, 0.0), 0.45)])
     return rng.uniform(-1.0, 1.0, (n, 2))
-
-
-_MAKERS = {
-    "one_loop": _one_loop,
-    "two_loops": _two_loops,
-    "noise": _uniform_noise,
-}
 
 
 def synthetic_clouds(
@@ -388,11 +377,10 @@ def synthetic_clouds(
     rng = np.random.default_rng(seed)
     clouds, labels = [], []
     for label in CLASS_LABELS[:n_classes]:
-        maker = _MAKERS[label]
         for _ in range(per_class):
             for _attempt in range(64):
                 n = int(rng.integers(n_min, n_max + 1))
-                cloud = maker(rng, n)
+                cloud = _cloud(rng, label, n)
                 _, pd1 = diagram_of_cloud(cloud)
                 if pd1.pairs.shape[0] > 0:
                     break

@@ -28,19 +28,16 @@ DEFAULT_SIGMA = 0.05
 DEFAULT_GRID = 64
 
 
-class _CliParameterError(ValueError):
-    """Bad command-line usage, mapped to exit code 4."""
-
-
 class _Parser(argparse.ArgumentParser):
+    # A usage error exits 4 through `main`, not argparse's 2 (not found).
     def error(self, message):
-        raise _CliParameterError(message)
+        raise ValueError(message)
 
 
 def _global_scale(diagrams) -> float:
     scale = max(d.max_finite() for d in diagrams)
     if scale <= 0:
-        raise _CliParameterError(
+        raise ValueError(
             "no finite coordinates found; pass --scale explicitly"
         )
     return scale
@@ -141,7 +138,7 @@ def _group_inputs(paths, groups_file):
 def _cmd_distmat(args) -> int:
     items = _group_inputs(args.inputs, args.groups)
     if len(items) < 2:
-        raise _CliParameterError("need at least 2 items")
+        raise ValueError("need at least 2 items")
     labels = [name for name, _ in items]
     n, n_channels = len(items), len(items[0][1])
     scale, loaded = _read_inputs(
@@ -164,7 +161,7 @@ def _cmd_distmat(args) -> int:
 
 def _cmd_geodesic(args) -> int:
     if args.steps < 2:
-        raise _CliParameterError(f"--steps must be >= 2, got {args.steps}")
+        raise ValueError(f"--steps must be >= 2, got {args.steps}")
     paths = [args.from_path, args.to_path]
     if args.space == "sphere":
         _, pdfs = _read_inputs(args, paths)
@@ -193,6 +190,12 @@ def _cmd_mean(args) -> int:
 
 
 def _cmd_pga(args) -> int:
+    names: dict[str, str] = {}  # coords.csv row name -> its input
+    for path in args.inputs:
+        name = _name(path)
+        if name in names:
+            raise ValueError(f"--inputs {names[name]} and {path} share the row name {name!r}")
+        names[name] = path
     scale, pdfs = _read_inputs(args, args.inputs)
     psis = [density.sqrt_transform(p) for p in pdfs]
     model, coords = sphere.pga_features(psis, args.components)
@@ -200,7 +203,7 @@ def _cmd_pga(args) -> int:
     os.makedirs(args.output_dir, exist_ok=True)
     write_csv(os.path.join(args.output_dir, "coords.csv"), coords,
               ["name", *(f"c{i}" for i in range(args.components))],
-              [[_name(p)] for p in args.inputs])
+              [[name] for name in names])
     sphere.save_pga_model(model, args.output_dir, metadata=_settings(args, scale))
     print(
         f"pga: {args.components} components, variances "

@@ -121,7 +121,7 @@ def kde(pd: PersistenceDiagram, sigma: float, grid_size: int = 64) -> Persistenc
 
     # Canonical point order makes the floating-point result independent of
     # the input ordering (matmul accumulation is not exactly commutative).
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    pts = pd.sorted_pairs()
     # g[0][i, p] = exp(-((c_i - birth_p) / sigma)^2 / 2), g[1] the same for
     # deaths: both axes in one array, built in place from contiguous rows.
     g = np.subtract(cell_centers(grid_size)[:, None], np.ascontiguousarray(pts.T)[:, None, :])

@@ -1,13 +1,11 @@
 """Vietoris-Rips persistence of point clouds.
 
-`diagram_of_cloud` computes H0/H1 diagrams of a cloud's Rips filtration
-(optionally with temporal one-skeleton links) by union-find and persistent
-cohomology with clearing; triangles are never listed, only numbered by
-their latest edge, apparent pairs are paired in bulk, and the other
-columns are reduced in a parity array over those numbers (m·n bytes for m
-edges and n points). `build_rips` and `compute_persistence` build the
-filtration up to triangles and reduce its boundary matrix over Z/2: the
-reference the engine is tested against.
+`diagram_of_cloud` computes the H0/H1 diagrams of a cloud's Rips
+filtration, optionally with temporal one-skeleton links; its docstring
+states its contract, and `_h1_by_cohomology` describes the engine.
+`build_rips` and `compute_persistence` build the filtration up to
+triangles and reduce its boundary matrix over Z/2: the reference the
+engine is tested against.
 Also: a union-find H0 over all pairwise edges, rescaling of diagrams to
 the unit square, and the diagram CSV format.
 """
@@ -338,29 +336,18 @@ def diagram_of_cloud(
     H0/H1 diagrams of the cloud's Rips filtration, by a direct engine.
 
     The result equals `compute_persistence(build_rips(cloud, max_scale,
-    temporal_links))`, pair for pair and in the same order; that reduction
-    stays the reference, with the cloud diameter (or any positive scale at
-    least the enclosing radius) standing in for an omitted `max_scale`.
+    temporal_links))`, pair for pair and in the same order, so the two
+    diagram CSVs are byte-identical; that reduction stays the reference,
+    with the cloud diameter (or any positive scale at least the enclosing
+    radius) standing in for an omitted `max_scale`.
 
-    The engine never builds the filtration list. It computes the edge
-    births once and cuts the filtration at the enclosing radius, the
-    smallest row maximum of the edge births, or at `max_scale` if smaller:
-    from there on one vertex is joined to every other, the flag complex is
-    a cone, and every pair born later has zero persistence, so every H0
-    merge and every H1 death stays visible. H0 comes from union-find over
-    the edges in (birth, i, j) order. H1 comes from reducing coboundary
-    columns over Z/2 (persistent cohomology has the same pairs as
-    homology), walking the edges in reverse filtration order with each
-    column's pivot its earliest coface. The edges that merge H0 components
-    are cleared, i.e. skipped. Triangles are ordered by their latest edge,
-    then the opposite vertex: a refinement of the birth order, which leaves
-    every death unchanged. One vectorised pass over int32 edge ranks finds
-    every pivot, and the apparent pairs, whose pivot's latest edge is the
-    column's own edge, are paired at once; full columns are built only
-    when the other columns' pivots collide. Those are reduced in one parity
-    array over the triangle numbers. For m edges below the cut and n points
-    a call holds m·n bytes for it, 4n² bytes of ranks, about 40 bytes per
-    edge for pivots and pairs, and the stored columns.
+    The filtration is cut at the enclosing radius, the smallest row
+    maximum of the edge births, or at `max_scale` if smaller: from there
+    on one vertex is joined to every other, the flag complex is a cone,
+    and every pair born later has zero persistence, so every H0 merge and
+    every H1 death stays visible. For m edges below the cut and n points a
+    call holds an m·n-byte working column plus the columns its reduction
+    keeps. `_h0_by_union_find` and `_h1_by_cohomology` describe the engine.
 
     >>> pd0, pd1 = diagram_of_cloud([[0, 0], [1, 0], [1, 1], [0, 1]])
     >>> pd1.pairs
@@ -419,18 +406,27 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
     """
     H1 pairs of the flag complex on the given edges (sorted by birth, i, j).
 
-    An edge's rank is its position in that order. A triangle is numbered
-    r * n + o, r the rank of its latest edge and o the vertex opposite it;
-    a column's pivot is its smallest number. This refines the birth order,
-    and over Z/2 the order within a birth moves no death: how many processed
-    columns have a pivot born by b is the rank of their rows born by b.
+    Persistent cohomology over Z/2 has the same pairs as homology (de
+    Silva, Morozov & Vejdemo-Johansson, 2011). Coboundary columns are
+    reduced in reverse filtration order, a column's pivot its earliest
+    coface; the edges in `merges` kill H0 classes, so their columns are
+    cleared, i.e. skipped.
+
+    Triangles are never listed, only numbered. An edge's rank is its
+    position in the given order. A triangle is numbered r * n + o, r the
+    rank of its latest edge and o the vertex opposite it, so a column is a
+    few vectorised operations on two rows of ranks, and its pivot is its
+    smallest number. This refines the birth order, and over Z/2 the order
+    within a birth moves no death: how many processed columns have a pivot
+    born by b is the rank of their rows born by b. So the pairs are those
+    of the reference's (birth, vertices) order.
 
     A candidate whose pivot t has the candidate itself as latest edge is an
     apparent pair (Bauer, Ripser, 2021, section 3): every face of t comes
     no later than that edge, so no column reduced before it reaches t, and
-    the pair is final. All apparent pairs are found and set in one
-    vectorised step; only the other candidates are reduced, and one of
-    them that meets t finds its owner through t's latest edge.
+    the pair is final. One vectorised pass finds every pivot, and all
+    apparent pairs are set at once; only the other candidates are reduced,
+    and one of them that meets t finds its owner through t's latest edge.
 
     Ranks and endpoints are int32, triangle numbers int64. The working
     column is `work`: one bool per number, plus a sentinel at m * n, always
@@ -439,7 +435,7 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
     the pivot in one scatter, so one forward scan per column finds pivots.
     The working set is those m * n + 3 * n bytes, 4 * n * n bytes of ranks,
     about 40 bytes per edge for pivots, owners and deaths, and 8 bytes per
-    number of each kept column.
+    number of each column kept (see `claimed` for which are).
     """
     m = births.size
     mn = m * n

@@ -58,6 +58,8 @@ class TangentVector:
                 f"tangent shape {self.values.shape} does not match base "
                 f"{self.base.grid.shape}"
             )
+        if not np.isfinite(self.values).all():
+            raise ValueError("tangent values contain non-finite entries")
         if abs(inner(self.base.grid, self.values)) > TANGENCY_TOL:
             raise ValueError("values are not tangent to the base density")
 
@@ -83,7 +85,8 @@ def exp_map(psi: SqrtDensity, v: TangentVector) -> SqrtDensity:
 
     cos(|v|) psi + sin(|v|) v / |v|, renormalized to unit norm. Cells pushed
     negative are clamped to 0; the removed squared mass is reported on the
-    result as `clamp_mass`. A zero vector returns `psi` unchanged.
+    result as `clamp_mass`. A zero vector returns `psi` unchanged; a step
+    that leaves no positive cell raises ValueError.
     """
     if not _same_base(psi, v):
         raise ValueError("tangent vector is based at a different density")
@@ -98,6 +101,8 @@ def exp_map(psi: SqrtDensity, v: TangentVector) -> SqrtDensity:
     if negative.any():
         clamp_mass = float((out[negative] ** 2).sum()) / out.size
         out = np.where(negative, 0.0, out)
+        if not out.any():
+            raise ValueError("exp_map step leaves no positive cell after clamping")
     out = out / grid_norm(out)
     return SqrtDensity(grid=out, clamp_mass=clamp_mass)
 

@@ -11,6 +11,7 @@ one:
     PYTHONPATH=src python3 tests/scale_smoke.py 800 --expect SHA256
     PYTHONPATH=src python3 tests/scale_smoke.py 300 --links --expect SHA256
     PYTHONPATH=src python3 tests/scale_smoke.py 500 --links --cut 0.25 --expect SHA256
+    PYTHONPATH=src python3 tests/scale_smoke.py 800 --links --cut 0.25 --expect SHA256
 """
 
 import argparse

@@ -325,6 +325,23 @@ def test_pga_command_and_coords(tmp_path):
     assert len(coords) == 6
 
 
+def test_pga_inputs_sharing_a_basename_exit_parameter(tmp_path, capsys):
+    # coords.csv names its rows by basename, which `regress` requires unique.
+    paths = []
+    for rel, b in (("a/x.csv", 0.1), ("b/x.csv", 0.3), ("c/y.csv", 0.5)):
+        p = tmp_path / rel
+        p.parent.mkdir()
+        _write_diagram(p, [[b, b + 0.4]])
+        paths.append(p)
+    out = tmp_path / "model"
+    assert run("pga", "--inputs", *paths, "--components", 1, "--scale", 1.0,
+               "--output-dir", out) == 4
+    err = capsys.readouterr().err
+    assert err == (f"error: parameter: --inputs {paths[0]} and {paths[1]} "
+                   "share the row name 'x'\n")
+    assert not out.exists()
+
+
 def test_distmat_and_manifest(tmp_path):
     paths = []
     for i, b in enumerate((0.1, 0.3, 0.5)):

@@ -143,6 +143,25 @@ def test_exp_reports_clamped_mass():
     assert norm_sq == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.filterwarnings("error")
+def test_exp_raises_when_clamping_leaves_no_positive_cell():
+    psi = SqrtDensity(np.ones((8, 8)))
+    checkerboard = np.indices((8, 8)).sum(axis=0) % 2 * 2.0 - 1.0  # unit, tangent
+    with pytest.raises(ValueError, match="^exp_map step leaves no positive cell"):
+        exp_map(psi, TangentVector(psi, 3.0 * checkerboard))
+
+
+# NaN compares false, and inf - inf is NaN, so neither fails the tangency test.
+@pytest.mark.parametrize("cells", [{(3, 4): np.nan}, {(3, 4): np.inf, (5, 6): -np.inf}])
+def test_tangent_vector_rejects_non_finite_values(cells):
+    psi = SqrtDensity(np.ones((8, 8)))
+    values = np.zeros((8, 8))
+    for cell, value in cells.items():
+        values[cell] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        TangentVector(psi, values)
+
+
 def test_log_identity_and_zero():
     psi = _psi([[0.4, 0.8]])
     v = log_map(psi, psi)
