@@ -86,6 +86,17 @@ def _name(path) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
 
+def _row_names(flag, paths) -> list[str]:
+    """Output row name of each path: its basename, which must be unique."""
+    names: dict[str, str] = {}  # row name -> its input
+    for path in paths:
+        name = _name(path)
+        if name in names:
+            raise ValueError(f"{flag} {names[name]} and {path} share the row name {name!r}")
+        names[name] = path
+    return list(names)
+
+
 def _cmd_embed(args) -> int:
     series = embedding.read_series(args.input, channel=args.channel)
     cloud = embedding.delay_embed(series, args.m, args.tau)
@@ -123,7 +134,7 @@ def _cmd_dist(args) -> int:
 def _group_inputs(paths, groups_file):
     """Item names with their per-channel diagram paths."""
     if groups_file is None:
-        return [(_name(p), [p]) for p in paths]
+        return [(name, [p]) for name, p in zip(_row_names("--inputs", paths), paths)]
     grouped: dict[str, list[str]] = {}
     for name, path in read_csv(groups_file, "name,path", text=2).text:
         grouped.setdefault(name, []).append(path)
@@ -190,12 +201,7 @@ def _cmd_mean(args) -> int:
 
 
 def _cmd_pga(args) -> int:
-    names: dict[str, str] = {}  # coords.csv row name -> its input
-    for path in args.inputs:
-        name = _name(path)
-        if name in names:
-            raise ValueError(f"--inputs {names[name]} and {path} share the row name {name!r}")
-        names[name] = path
+    names = _row_names("--inputs", args.inputs)
     scale, pdfs = _read_inputs(args, args.inputs)
     psis = [density.sqrt_transform(p) for p in pdfs]
     model, coords = sphere.pga_features(psis, args.components)
@@ -213,6 +219,7 @@ def _cmd_pga(args) -> int:
 
 
 def _cmd_knn(args) -> int:
+    names = _row_names("--test", args.test)
     train = read_csv(args.train, "path,label", text=2).text
     train_paths = [p for p, _ in train]
     train_labels = [lab for _, lab in train]
@@ -221,7 +228,7 @@ def _cmd_knn(args) -> int:
     dists = analysis.cross_distances(items[n_train:], items[:n_train], args.metric)
     predictions = analysis.knn_classify(dists, train_labels, args.k)
     write_csv(args.output, np.empty((len(predictions), 0)), ["name", "label"],
-              [[_name(p), label] for p, label in zip(args.test, predictions)])
+              [[name, label] for name, label in zip(names, predictions)])
     if args.manifest:
         write_json(args.manifest, {**_settings(args, scale), "metric": args.metric,
                                    "k": args.k, "train_size": len(train_labels)})

@@ -39,6 +39,11 @@ def _check_grid(grid) -> np.ndarray:
     return g
 
 
+def _check_sigma(sigma) -> None:
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+
+
 @dataclass
 class PersistencePdf:
     """K x K probability grid over the unit square; cells sum to 1."""
@@ -48,8 +53,8 @@ class PersistencePdf:
 
     def __post_init__(self):
         self.grid = _check_grid(self.grid)
-        if self.sigma is not None and self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if self.sigma is not None:
+            _check_sigma(self.sigma)
         total = float(self.grid.sum())
         if abs(total - 1.0) > NORM_TOL:
             raise ValueError(f"grid cells sum to {total}, expected 1")
@@ -103,12 +108,11 @@ def kde(pd: PersistenceDiagram, sigma: float, grid_size: int = 64) -> Persistenc
         Normalized diagram: at least one pair, all coordinates in [0, 1],
         no uncapped essential bars.
     sigma : float
-        Kernel standard deviation, > 0.
+        Kernel standard deviation, positive and finite.
     grid_size : int
         Grid resolution K, >= 2.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_sigma(sigma)
     if grid_size < 2:
         raise ValueError(f"grid resolution must be >= 2, got {grid_size}")
     if pd.essential.size:

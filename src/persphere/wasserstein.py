@@ -24,8 +24,8 @@ DIAGONAL = None
 
 BRUTE_FORCE_LIMIT = 8
 
-# Most alignment moves that one batch of `_line_distances` stores, one
-# byte each: pairs x (padded X + 1) x (padded Y + 1).
+# Most alignment cells that one batch of `_line_distances` spans:
+# pairs x (padded X + 1) x (padded Y + 1).
 LINE_BATCH_CELLS = 1 << 20
 
 
@@ -36,7 +36,9 @@ class Matching:
     `pairs` holds (index in X, index in Y) with None marking a diagonal
     partner; every off-diagonal point of each diagram appears exactly once.
     `cost` is the reported distance (for q=2, the square root of the summed
-    squared ground costs).
+    squared ground costs). On one birth it is the alignment's optimum, which
+    may differ by a rounding from these pairs' costs summed in another
+    order; otherwise it is their sum in `_decode`'s order.
     """
 
     pairs: list[tuple[int | None, int | None]]
@@ -172,14 +174,16 @@ def _hungarian_partners(cross, diag_x, diag_y) -> list[int]:
     return [j if j < ny else -1 for j in col_for_row[:nx].tolist()]
 
 
-def _line_partners(deaths_x, deaths_y, cross, diag_x, diag_y) -> list[int]:
-    """Y partner of each X point (-1 for the diagonal), for one shared birth.
+def _line_partners(deaths_x, deaths_y, cross, diag_x, diag_y) -> tuple[list[int], float]:
+    """Y partner of each X point (-1 for the diagonal), for one shared birth,
+    and the minimal summed cost.
 
     When every point is born at the same value, each cost is a convex
     function of a death gap, so matching the paired points in death order
     is optimal. An alignment over the deaths sorted ascending (X point to
     the diagonal, X and Y points paired, Y point to the diagonal) then
-    finds a minimum in O(nx*ny) time; ties prefer the pair move.
+    finds a minimum in O(nx*ny) time; ties prefer the pair move. The
+    minimum is the float its last cell reaches.
     """
     nx, ny = cross.shape
     ox = np.argsort(deaths_x, kind="stable").tolist()
@@ -219,11 +223,12 @@ def _line_partners(deaths_x, deaths_y, cross, diag_x, diag_y) -> list[int]:
             partner[ox[i - 1]] = oy[j - 1]
         i -= step != 2
         j -= step != 1
-    return partner
+    return partner, prev[ny]
 
 
 def _decode(partner, cross, diag_x, diag_y, q: int):
-    """Distance and Matching of a partner list: X rows, then unmatched Y."""
+    """Distance and Matching of a partner list: X rows, then unmatched Y,
+    with the distance summed from the pairs in that order."""
     ny = cross.shape[1]
     pairs: list[tuple[int | None, int | None]] = []
     matched = [False] * ny
@@ -254,27 +259,28 @@ def wasserstein(x: PersistenceDiagram, y: PersistenceDiagram, q: int = 2):
     ground costs; for q=1 it is the minimal summed L1 ground costs.
 
     When every point of both diagrams has the same birth, as in Rips H0
-    diagrams, the matching comes from an exact O(nx*ny) alignment over the
-    sorted deaths; otherwise from an O((nx+ny)^3) Hungarian solve. Both
-    paths are exact, and the distance is summed the same way from the
-    matching. Diagrams of different homology dimensions raise ValueError.
+    diagrams, an exact O(nx*ny) alignment over the sorted deaths gives the
+    matching, and the distance is the alignment's optimum. Otherwise an
+    O((nx+ny)^3) Hungarian solve gives the matching, and the distance is
+    summed from it. Diagrams of different homology dimensions raise
+    ValueError.
 
     Returns
     -------
     (distance, matching) : tuple of float and Matching
     """
     cross, diag_x, diag_y = _assignment_costs(x, y, q)
-    if _one_birth(_birth_range(x), _birth_range(y)):
-        partner = _line_partners(x.pairs[:, 1], y.pairs[:, 1], cross, diag_x, diag_y)
-    else:
-        partner = _hungarian_partners(cross, diag_x, diag_y)
-    return _decode(partner, cross, diag_x, diag_y, q)
+    if not _one_birth(_birth_range(x), _birth_range(y)):
+        return _decode(_hungarian_partners(cross, diag_x, diag_y), cross, diag_x, diag_y, q)
+    partner, total = _line_partners(x.pairs[:, 1], y.pairs[:, 1], cross, diag_x, diag_y)
+    _, matching = _decode(partner, cross, diag_x, diag_y, q)
+    matching.cost = total if q == 1 else float(np.sqrt(total))
+    return matching.cost, matching
 
 
 def _sorted_stack(diagrams, q: int):
     """Deaths and diagonal costs of the diagrams in stable death order, one
-    column per diagram, zero-padded to one height; with the sort orders
-    (one column each) and the sizes."""
+    column per diagram, zero-padded to one height; with the sizes."""
     sizes = np.array([d.pairs.shape[0] for d in diagrams], dtype=int)
     height = int(sizes.max(initial=0))
     real = np.arange(height) < sizes[:, None]
@@ -287,7 +293,7 @@ def _sorted_stack(diagrams, q: int):
     costs.T[real] = _diagonal_costs(points, q)
     order = np.argsort(deaths, axis=0, kind="stable")
     deaths = np.where(real.T, np.take_along_axis(deaths, order, 0), 0.0)
-    return deaths, np.take_along_axis(costs, order, 0), order, sizes
+    return deaths, np.take_along_axis(costs, order, 0), sizes
 
 
 def _line_distances(xs, ys, q: int) -> np.ndarray:
@@ -295,30 +301,26 @@ def _line_distances(xs, ys, q: int) -> np.ndarray:
 
     Runs the alignment of `_line_partners` over the anti-diagonals of a
     stack of death-sorted, zero-padded pairs, with pair k in column k: the
-    same costs, summed in the same order, and the same `<` comparisons,
-    so every pair takes the same moves. Each distance is then summed in
-    `_decode`'s order (X rows in input order, then unmatched Y), so it
-    equals `wasserstein(x, y, q)[0]` bit for bit. The caller checks q,
-    the homology dimensions and that every point of each pair has the
-    same birth.
+    same costs, added in the same order, and the same minima. Pair k's
+    optimum is its cell (nx[k], ny[k]), which padding cannot reach, so
+    each distance equals `wasserstein(xs[k], ys[k], q)[0]` bit for bit.
+    The caller checks q, the homology dimensions and that every point of
+    each pair has the same birth.
     """
     n = len(xs)
-    dx, cx, ox, nx = _sorted_stack(xs, q)
-    dy, cy, oy, ny = _sorted_stack(ys, q)
+    dx, cx, nx = _sorted_stack(xs, q)
+    dy, cy, ny = _sorted_stack(ys, q)
     mx, my = dx.shape[0], dy.shape[0]
     # Y reversed, so the cells of an anti-diagonal read a forward slice.
     dy_back, cy_back = dy[::-1].copy(), cy[::-1].copy()
-    # move[i, j, k] is the last step of a best alignment of the first i
-    # sorted X points with the first j sorted Y points of pair k: 0 pairs
-    # the i-th X point with the j-th Y point, 1 sends that X point and 2 or
-    # 3 that Y point to the diagonal.
-    move = np.zeros((mx + 1, my + 1, n), dtype=np.int8)
     # Row i of `old` and `last` holds the best cost of the first i sorted X
     # points against the first t - 2 - i (old) and t - 1 - i (last) sorted
-    # Y points.
+    # Y points. Pair k's optimum is row nx[k] at t = nx[k] + ny[k]; two
+    # empty diagrams have optimum 0 at t = 0.
     old = np.zeros((mx + 1, n))
     last = np.zeros((mx + 1, n))
-    rows = np.arange(mx + 1)
+    ends = nx + ny
+    total = np.zeros(n)
     for t in range(1, mx + my + 1):
         cur = np.empty((mx + 1, n))
         if t <= my:
@@ -335,44 +337,11 @@ def _line_distances(xs, ys, q: int) -> np.ndarray:
             up = last[xi] + cx[xi]
             side = last[lo:hi + 1] + cy_back[yj]
             # Equal sums are the same nonnegative float, so the minimum is
-            # the sum that the `<` comparisons pick.
-            to_up = up < best
-            best = np.minimum(up, best)
-            to_side = side < best
-            cur[lo:hi + 1] = np.minimum(side, best)
-            cells = rows[lo:hi + 1]
-            move[cells, t - cells] = to_up.view(np.int8) + 2 * to_side.view(np.int8)
+            # the sum that the `<` comparisons of `_line_partners` pick.
+            cur[lo:hi + 1] = np.minimum(side, np.minimum(up, best))
+        done = ends == t
+        total[done] = cur[nx[done], done]
         old, last = last, cur
-
-    # Trace every pair back at once; mate[a, k] is the sorted Y point that
-    # sorted X point a of pair k is paired with, or -1.
-    mate = np.full((mx, n), -1)
-    i, j = nx.copy(), ny.copy()
-    live = np.flatnonzero((i > 0) & (j > 0))
-    while live.size:
-        a, b = i[live], j[live]
-        step = move[a, b, live]
-        paired = step == 0
-        mate[a[paired] - 1, live[paired]] = b[paired] - 1
-        i[live] -= step < 2
-        j[live] -= step != 1
-        live = live[(i[live] > 0) & (j[live] > 0)]
-
-    a, k = np.nonzero(mate >= 0)
-    b = mate[a, k]
-    diff = np.abs(dx[a, k] - dy[b, k])
-    x_terms = cx.copy()
-    x_terms[a, k] = diff if q == 1 else diff * diff
-    y_terms = cy.copy()
-    y_terms[b, k] = 0.0
-    terms = np.zeros((mx + my, n))
-    np.put_along_axis(terms[:mx], ox, x_terms, 0)
-    np.put_along_axis(terms[mx:], oy, y_terms, 0)
-    # One addition per term, in order, as `_decode` sums; the zeros of
-    # paired Y points and of padding leave a sum unchanged.
-    total = np.zeros(n)
-    for row in terms:
-        total += row
     return total if q == 1 else np.sqrt(total)
 
 
@@ -383,7 +352,7 @@ def pair_distances(xs, ys, q: int = 2) -> np.ndarray:
     Each entry equals `wasserstein(xs[k], ys[k], q)[0]` bit for bit. The
     pairs whose points all share one birth (every pair of Rips H0
     diagrams, and a pair with an empty diagram) are solved together, in
-    batches of at most LINE_BATCH_CELLS alignment moves; the others one
+    batches of at most LINE_BATCH_CELLS alignment cells; the others one
     at a time by `wasserstein`. Raises ValueError for q other than 1 or 2,
     for unequal lengths, and for a pair of different homology dimensions.
     """

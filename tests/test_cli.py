@@ -237,6 +237,18 @@ def test_dist_prints_the_cross_distances_entry(tmp_path, capsys, metric, dim):
     assert capsys.readouterr().out == f"{value:.17g}\n"
 
 
+@pytest.mark.parametrize("sigma", ["inf", "nan"])
+def test_density_non_finite_sigma_exits_parameter(tmp_path, capsys, sigma):
+    # At sigma=inf every kernel is 1, and the grid would be silently uniform.
+    good = tmp_path / "good.csv"
+    _write_diagram(good, [[0.1, 0.5]])
+    out = tmp_path / "g.csv"
+    assert run("density", "--input", good, "--sigma", sigma, "--output", out) == 4
+    assert capsys.readouterr().err == (
+        f"error: parameter: sigma must be positive and finite, got {sigma}\n")
+    assert not out.exists()
+
+
 def test_geodesic_endpoints_match_density(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -339,6 +351,26 @@ def test_pga_inputs_sharing_a_basename_exit_parameter(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == (f"error: parameter: --inputs {paths[0]} and {paths[1]} "
                    "share the row name 'x'\n")
+    assert not out.exists()
+
+
+def test_distmat_and_knn_rows_sharing_a_basename_exit_parameter(tmp_path, capsys):
+    # Matrix labels and prediction rows are named by basename, as coords.csv is.
+    paths = []
+    for rel, b in (("a/x.csv", 0.1), ("b/x.csv", 0.3), ("c/y.csv", 0.5)):
+        p = tmp_path / rel
+        p.parent.mkdir()
+        _write_diagram(p, [[b, b + 0.4]])
+        paths.append(p)
+    out = tmp_path / "out.csv"
+    assert run("distmat", "--inputs", *paths, "--metric", "w1", "--output", out) == 4
+    assert capsys.readouterr().err == (f"error: parameter: --inputs {paths[0]} and {paths[1]} "
+                                       "share the row name 'x'\n")
+    train = tmp_path / "train.csv"
+    train.write_text(f"path,label\n{paths[2]},y\n")
+    assert run("knn", "--train", train, "--test", *paths, "--output", out) == 4
+    assert capsys.readouterr().err == (f"error: parameter: --test {paths[0]} and {paths[1]} "
+                                       "share the row name 'x'\n")
     assert not out.exists()
 
 

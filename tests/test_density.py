@@ -133,6 +133,15 @@ def test_kde_errors():
         kde(PersistenceDiagram(1, np.array([[0.1, 0.4]]), np.array([0.2])), 0.05, 64)
 
 
+@pytest.mark.parametrize("sigma", [np.inf, np.nan])
+def test_non_finite_sigma_rejected(sigma):
+    # At sigma=inf every kernel is 1, and the grid would be silently uniform.
+    with pytest.raises(ValueError, match="^sigma must be positive and finite, got"):
+        kde(_pd([[0.3, 0.7]]), sigma=sigma, grid_size=64)
+    with pytest.raises(ValueError, match="^sigma must be positive and finite, got"):
+        PersistencePdf(grid=np.full((8, 8), 1.0 / 64), sigma=sigma)
+
+
 def test_sqrt_transform_uniform():
     uniform = PersistencePdf(grid=np.full((16, 16), 1.0 / 256))
     psi = sqrt_transform(uniform)

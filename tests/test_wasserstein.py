@@ -303,10 +303,28 @@ def test_batched_line_path_equals_wasserstein(q):
         else:
             xs.append(_line_pd(birth, birth + rng.uniform(0.01, 0.8, nx)))
             ys.append(_line_pd(birth, birth + rng.uniform(0.01, 0.8, ny)))
-    ref = [wasserstein(x, y, q)[0] for x, y in zip(xs, ys)]
+    # Optima read at the first anti-diagonal (two empty diagrams), at the
+    # alignment's borders (one side empty, both ways) and at the last one
+    # (the tallest pair of the batch).
+    empty = _line_pd(0.3, [])
+    tall_x = _line_pd(0.3, 0.3 + rng.uniform(0.01, 0.8, 12))
+    tall_y = _line_pd(0.3, _line_deaths(rng, 0.3, 12))
+    xs += [empty, empty, tall_x, tall_x]
+    ys += [empty, tall_y, empty, tall_y]
+    solved = [wasserstein(x, y, q) for x, y in zip(xs, ys)]
+    ref = [d for d, _ in solved]
     assert W._line_distances(xs, ys, q).tolist() == ref
     assert W.pair_distances(xs, ys, q).tolist() == ref
     assert W.pair_distances([], [], q).tolist() == []
+    # The optimum and its matching's costs summed in another order add the
+    # same nonnegative terms, so they differ by rounding: one ulp per term.
+    for (d, matching), x, y in zip(solved, xs, ys):
+        cross, diag_x, diag_y = W._assignment_costs(x, y, q)
+        total = 0.0
+        for i, j in matching.pairs:
+            total += diag_y[j] if i is None else diag_x[i] if j is None else cross[i, j]
+        summed = total if q == 1 else np.sqrt(total)
+        assert abs(d - summed) <= len(matching.pairs) * np.spacing(summed)
 
 
 def test_homology_dimensions_must_agree():
