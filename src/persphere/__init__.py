@@ -27,7 +27,7 @@ from .sphere import (
     pga_features,
     project_coords,
 )
-from .wasserstein import Matching, alexandrov_geodesic, brute_force, wasserstein
+from .wasserstein import Matching, alexandrov_geodesic, alexandrov_path, brute_force, wasserstein
 from .analysis import (
     BenchReport,
     ConfigurationError,
@@ -58,6 +58,7 @@ __all__ = [
     "SqrtDensity",
     "TangentVector",
     "alexandrov_geodesic",
+    "alexandrov_path",
     "benchmark",
     "brute_force",
     "build_rips",

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import analysis, density, embedding, persistence, sphere
 from .errors import ParseError, read_csv, write_csv, write_json
-from .wasserstein import alexandrov_geodesic
+from .wasserstein import alexandrov_path
 
 EXIT_OK = 0
 EXIT_NOT_FOUND = 2
@@ -174,20 +174,19 @@ def _cmd_geodesic(args) -> int:
     if args.steps < 2:
         raise ValueError(f"--steps must be >= 2, got {args.steps}")
     paths = [args.from_path, args.to_path]
+    fractions = [i / (args.steps - 1) for i in range(args.steps)]
     if args.space == "sphere":
         _, pdfs = _read_inputs(args, paths)
         psi_a, psi_b = (density.sqrt_transform(p) for p in pdfs)
-
-        def write_step(path, s):
-            density.write_grid(path, density.to_pdf(sphere.geodesic(psi_a, psi_b, s)).grid)
+        write = density.write_grid
+        steps = (density.to_pdf(sphere.geodesic(psi_a, psi_b, s)).grid for s in fractions)
     else:
         pa, pb = (persistence.read_diagram(p, args.dim) for p in paths)
-
-        def write_step(path, s):
-            persistence.write_diagrams(path, [alexandrov_geodesic(pa, pb, s)])
+        write = persistence.write_diagrams
+        steps = ([d] for d in alexandrov_path(pa, pb, fractions))
     os.makedirs(args.output_dir, exist_ok=True)
-    for i in range(args.steps):
-        write_step(os.path.join(args.output_dir, f"step_{i:03d}.csv"), i / (args.steps - 1))
+    for i, step in enumerate(steps):
+        write(os.path.join(args.output_dir, f"step_{i:03d}.csv"), step)
     print(f"{args.steps} steps ({args.space}) -> {args.output_dir}")
     return EXIT_OK
 

@@ -7,7 +7,10 @@ and otherwise by the Hungarian algorithm on a square cost matrix. The
 distances of many pairs (`pair_distances`, behind every distance matrix)
 solve all one-birth pairs together, in one alignment vectorized across
 the pairs. Also an exhaustive oracle for small instances, and the
-matched-interpolation geodesic whose midpoint is the two-diagram mean.
+matched-interpolation geodesic whose midpoint is the two-diagram mean:
+`alexandrov_path` takes each point's partner straight from the alignment
+or the Hungarian solve, once for any number of fractions, and
+interpolates every point in one array operation per fraction.
 """
 
 from __future__ import annotations
@@ -57,10 +60,12 @@ def _diagonal_costs(points: np.ndarray, q: int) -> np.ndarray:
 
 
 def _ground_costs(px: np.ndarray, py: np.ndarray, q: int) -> np.ndarray:
-    diff = np.abs(px[:, None, :] - py[None, :, :])
+    # Birth term plus death term, in that order, as two 2-D arrays.
+    db = px[:, None, 0] - py[None, :, 0]
+    dd = px[:, None, 1] - py[None, :, 1]
     if q == 1:
-        return diff.sum(axis=-1)
-    return (diff * diff).sum(axis=-1)
+        return np.abs(db) + np.abs(dd)
+    return db * db + dd * dd
 
 
 def _check_pairs(xs, ys, q: int) -> None:
@@ -191,34 +196,35 @@ def _line_partners(deaths_x, deaths_y, cross, diag_x, diag_y) -> tuple[list[int]
     pair = cross[np.ix_(ox, oy)].tolist()
     cost_x = diag_x[ox].tolist()
     cost_y = diag_y[oy].tolist()
-    # move[i * ny + j] is the last step of a best alignment of the first
-    # i + 1 sorted X points with the first j + 1 sorted Y points:
-    # 0 pairs them, 1 sends the X point and 2 the Y point to the diagonal.
-    move = bytearray(nx * ny)
+    # moves[i][j] is the last step of a best alignment of the first i + 1
+    # sorted X points with the first j + 1 sorted Y points: 0 pairs them,
+    # 1 sends the X point and 2 the Y point to the diagonal.
+    moves = []
     prev = [0.0] * (ny + 1)
     for j in range(ny):
         prev[j + 1] = prev[j] + cost_y[j]
-    for i in range(nx):
-        row, gap = pair[i], cost_x[i]
+    for row, gap in zip(pair, cost_x):
         left = prev[0] + gap
-        cur = [left]
-        for j in range(ny):
-            best, step = prev[j] + row[j], 0
-            up = prev[j + 1] + gap
+        cur, steps = [left], []
+        put, mark = cur.append, steps.append
+        for diag, above, cost, to_diag in zip(prev, prev[1:], row, cost_y):
+            best, step = diag + cost, 0
+            up = above + gap
             if up < best:
                 best, step = up, 1
-            side = left + cost_y[j]
+            side = left + to_diag
             if side < best:
                 best, step = side, 2
-            move[i * ny + j] = step
-            cur.append(best)
+            put(best)
+            mark(step)
             left = best
+        moves.append(steps)
         prev = cur
 
     partner = [-1] * nx
     i, j = nx, ny
     while i and j:
-        step = move[(i - 1) * ny + j - 1]
+        step = moves[i - 1][j - 1]
         if step == 0:
             partner[ox[i - 1]] = oy[j - 1]
         i -= step != 2
@@ -407,30 +413,62 @@ def brute_force(x: PersistenceDiagram, y: PersistenceDiagram, q: int = 2) -> flo
     return best if q == 1 else float(np.sqrt(best))
 
 
+def _projections(points: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of each point onto the diagonal."""
+    return np.repeat((points[:, 0] + points[:, 1]) / 2, 2).reshape(-1, 2)
+
+
+def alexandrov_path(
+    x: PersistenceDiagram, y: PersistenceDiagram, fractions
+) -> list[PersistenceDiagram]:
+    """
+    Diagrams at each of `fractions` along the matched-interpolation geodesic.
+
+    The optimal L2 matching is solved once, by the alignment on one shared
+    birth and by the Hungarian solve otherwise. Each matched pair moves
+    linearly from its X position to its Y position; points matched to the
+    diagonal move to or from their orthogonal projection. The rows are the
+    X points, then the unmatched Y points in index order, and interpolants
+    landing on the diagonal are dropped. Essential bars pair in sorted-birth
+    order and their births move linearly; each diagram keeps X's essential
+    order. The midpoint s=0.5 is the two-diagram mean. Raises ValueError for
+    a fraction outside [0, 1], for diagrams of different homology dimensions
+    and for unequal numbers of essential bars.
+    """
+    fractions = [float(s) for s in fractions]
+    for s in fractions:
+        if not 0.0 <= s <= 1.0:
+            raise ValueError(f"geodesic parameter must be in [0, 1], got {s}")
+    cross, diag_x, diag_y = _assignment_costs(x, y, 2)
+    if x.essential.size != y.essential.size:
+        raise ValueError(
+            f"diagrams have {x.essential.size} and {y.essential.size} essential bars; "
+            "the geodesic needs equal counts"
+        )
+    if _one_birth(_birth_range(x), _birth_range(y)):
+        partner, _ = _line_partners(x.pairs[:, 1], y.pairs[:, 1], cross, diag_x, diag_y)
+    else:
+        partner = _hungarian_partners(cross, diag_x, diag_y)
+    partner = np.asarray(partner, dtype=int)
+    hit = np.flatnonzero(partner >= 0)
+    free = np.ones(y.pairs.shape[0], dtype=bool)
+    free[partner[hit]] = False
+    start = np.concatenate([x.pairs, _projections(y.pairs[free])])
+    end = np.concatenate([_projections(x.pairs), y.pairs[free]])
+    end[hit] = y.pairs[partner[hit]]
+    essential_end = np.empty_like(x.essential)
+    essential_end[np.argsort(x.essential, kind="stable")] = np.sort(y.essential)
+    path = []
+    for s in fractions:
+        p = (1.0 - s) * start + s * end
+        essential = (1.0 - s) * x.essential + s * essential_end
+        path.append(PersistenceDiagram(x.homology_dim, p[p[:, 1] > p[:, 0]], essential))
+    return path
+
+
 def alexandrov_geodesic(
     x: PersistenceDiagram, y: PersistenceDiagram, s: float
 ) -> PersistenceDiagram:
-    """
-    Diagram at fraction `s` along the matched-interpolation geodesic.
-
-    Under the optimal L2 matching, each matched pair moves linearly from
-    its X position to its Y position; points matched to the diagonal move
-    to or from their orthogonal projection. Interpolants landing on the
-    diagonal are dropped. The midpoint s=0.5 is the two-diagram mean.
-    """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"geodesic parameter must be in [0, 1], got {s}")
-    _, matching = wasserstein(x, y, q=2)
-    out = []
-    for i, j in matching.pairs:
-        if i is not None:
-            a = x.pairs[i]
-            b = y.pairs[j] if j is not None else np.full(2, a.mean())
-        else:
-            b = y.pairs[j]
-            a = np.full(2, b.mean())
-        p = (1.0 - s) * a + s * b
-        if p[1] > p[0]:
-            out.append(p)
-    pairs = np.asarray(out, dtype=float) if out else np.empty((0, 2))
-    return PersistenceDiagram(x.homology_dim, pairs, np.empty(0))
+    """Diagram at fraction `s` along the matched-interpolation geodesic: the
+    one-fraction case of `alexandrov_path`."""
+    return alexandrov_path(x, y, [s])[0]

@@ -1,6 +1,9 @@
+import hashlib
+import importlib
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +280,131 @@ def test_geodesic_alexandrov_steps_are_diagrams(tmp_path):
                "--space", "alexandrov", "--output-dir", out) == 0
     mid = read_diagram(out / "step_001.csv", 1)
     assert mid.pairs.tolist() == [[0.0, 0.75]]
+
+
+def test_geodesic_alexandrov_solves_one_matching(tmp_path, monkeypatch):
+    # Two H1 diagrams with different births take the Hungarian solve.
+    wasserstein = importlib.import_module("persphere.wasserstein")
+    solve = wasserstein._hungarian_partners
+    calls = []
+
+    def counting(*costs):
+        calls.append(costs[0].shape)
+        return solve(*costs)
+
+    monkeypatch.setattr(wasserstein, "_hungarian_partners", counting)
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    _write_diagram(a, [[0.1, 0.4], [0.3, 0.9]])
+    _write_diagram(b, [[0.2, 0.5], [0.35, 0.7], [0.6, 0.8]])
+    assert run("geodesic", "--from", a, "--to", b, "--steps", 5,
+               "--space", "alexandrov", "--output-dir", tmp_path / "geo") == 0
+    assert calls == [(2, 3)]
+    assert len(list((tmp_path / "geo").iterdir())) == 5
+
+
+def test_geodesic_alexandrov_keeps_essential_bars(tmp_path, capsys):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    write_diagrams(a, [PersistenceDiagram(0, [[0.0, 0.3], [0.0, 0.5]], [0.0])])
+    write_diagrams(b, [PersistenceDiagram(0, [[0.0, 0.4]], [0.2])])
+    out = tmp_path / "geo"
+    assert run("geodesic", "--from", a, "--to", b, "--steps", 3,
+               "--space", "alexandrov", "--dim", 0, "--output-dir", out) == 0
+    assert (out / "step_000.csv").read_bytes() == a.read_bytes()
+    assert read_diagram(out / "step_001.csv", 0).essential.tolist() == [0.1]
+    assert read_diagram(out / "step_002.csv", 0).essential.tolist() == [0.2]
+    capsys.readouterr()
+    c = tmp_path / "c.csv"
+    write_diagrams(c, [PersistenceDiagram(0, [[0.0, 0.4]], [0.2, 0.3])])
+    assert run("geodesic", "--from", a, "--to", c, "--steps", 3, "--space", "alexandrov",
+               "--dim", 0, "--output-dir", tmp_path / "bad") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: parameter: ") and "essential bars" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "bad").exists()
+
+
+# sha256 of the BLAS-free outputs of the golden CLI chain, named as
+# `tests/cli_digests.py` prints them, plus the dim-0 Alexandrov geodesic,
+# whose steps carry each diagram's essential bar.
+GOLDEN_DIGESTS = {
+    "alexandrov/step_000.csv": "c6132f94edf36477e31857921e49767155764595a7367f788eed3370fe09d4bb",
+    "alexandrov/step_001.csv": "04058a33e54e11ec77650b9d4b4e2ebc09aaf77e595399d76f191f8d647f6287",
+    "alexandrov/step_002.csv": "eb54ac6674d85c10fdbacbdda1b0b7c0d98f057dced49330203daf9b329a847e",
+    "alexandrov_dim0/step_000.csv": "1ab5ce01bc4c3a1df6c25a49fcc6815fc6e7d0a439d2434c0b9025d59908aa13",
+    "alexandrov_dim0/step_001.csv": "684835feb2e34e70efda07fcb7a82595e5a5a26fa1b2e8899f2b4cfa891146ad",
+    "alexandrov_dim0/step_002.csv": "b318e94eca0c9840f493dd032c433e8ca126a9cb6e6d9649c16a3ce1a213b3eb",
+    "dm_w1_0.csv": "cc25d855eba9972a58dba2e9e52ae47294292a63cb6ee0c7cbab3ec2e2647b2c",
+    "dm_w1_0.json": "e0453dee72db911c221cde34f5eee108dfa06fcf2e98051404c37ea877fd7154",
+    "dm_w1_1.csv": "d51d9febcb028d3ab136c937a47eba235a50634f4820bc260025ac321c5ff97a",
+    "dm_w1_1.json": "b671aa9cbca2340a83c43988116259d7faa8068064de83bee0f0346c92e536b6",
+    "dm_w2_0.csv": "1211180ccbbd08b20880969e3b2d3a06785cac35e7a03572bbba28390ffb6412",
+    "dm_w2_0.json": "60ac12e90abf82ff0ded4fdd248e710c33032399d7a69835dd20c5aa91eb0f1c",
+    "dm_w2_1.csv": "8bc49b9756b1232fc8a1b95ea74af7d16052e0341614258983314a960a26ce93",
+    "dm_w2_1.json": "7fc042f37788ec4a2ed5e4b7ad58951b38959cdcb6bcb6947c0cc7e7c6c99b63",
+    "pd/cloud_000_one_loop.csv": "3c4f115af8766f9e9c6dc59000c1e7625a81c0a03012463de0b348676966ccc0",
+    "pd/cloud_001_one_loop.csv": "36243d0bd8db34fbdef8c5f362bd57f6c26a19e8764ef9c60e07e8784eee8874",
+    "pd/cloud_002_one_loop.csv": "66334430565142c789e398b3b93a67a066354302158c4148c6e47fe9ac193745",
+    "pd/cloud_003_one_loop.csv": "f5602034dfa4594ea9792497fc139953c3db527bc04713f3a683a38cbb5ea91a",
+    "pd/cloud_004_two_loops.csv": "fa920bcfd063b906077ce75ff5e22f8ff7698c81baac3af23f5d1428ba21062a",
+    "pd/cloud_005_two_loops.csv": "a5021f301c23759604c4058cebe1f7f050c24a679c1a2b8e3caab872fe18fa81",
+    "pd/cloud_006_two_loops.csv": "43c1bf0b08a7fdc17825a480f9b11319794fc5e0b49fa616f3cb4cca390c829f",
+    "pd/cloud_007_two_loops.csv": "4dc9ca7f6e990c3bd2965665f4ad892405dc8a5e0b56a8d1aa69d9a14f909a59",
+    "pd/cloud_008_noise.csv": "49d63ff355709510bd10e4bdfd731751bf17b39b66ba3b5ffe1cb63da1c06b2b",
+    "pd/cloud_009_noise.csv": "b3ff6c2550b0ad724b5e143f7984481b1675dec623f603bb92defdfb1257b480",
+    "pd/cloud_010_noise.csv": "e18fb01cb69f1c3a970e2861b769e285eeee584fbdd2dca39e0184ef5de2d42f",
+    "pd/cloud_011_noise.csv": "0f3f2980f81226bce6dc69addb2297ebb371c35f64c50f2ccc05759e675a1e2b",
+    "pd_links/cloud_000_one_loop.csv": "dc985ec66f13f79c9d4b831218047173c758eb9040a06873672ff64172911c8c",
+    "pd_links/cloud_001_one_loop.csv": "3731bc047e7c697b62a5892e7fad454d47906dca3da1bc790c28cd71beece37a",
+    "pd_links/cloud_002_one_loop.csv": "ecbf36de0eb9ff043df997c69221f8b12b1cfce96735035459d2195429f3ba50",
+    "pd_links/cloud_003_one_loop.csv": "de1f9e58bb1cf9a1c5a203f11de43128baaa1625611a01cb8d9fc6b2a135d8ea",
+    "pd_links/cloud_004_two_loops.csv": "34cc93a13eba9d993d0bf8b1c0a6826146f417a0aecf05de2e24ea5d62294374",
+    "pd_links/cloud_005_two_loops.csv": "b85394816be8fbae0473d69a53f185a302cf481cfb891b28855295ab10f2a609",
+    "pd_links/cloud_006_two_loops.csv": "d0354c526aa5318868166ea6f4dc31d90d1e401371e2eb10d77c7e0e5cc594e8",
+    "pd_links/cloud_007_two_loops.csv": "05373e03b06f3394e8d3dcb466321add4684bf4f08d8e3d7bbdca0ce53bed85e",
+    "pd_links/cloud_008_noise.csv": "53e11efcae8e149f994e1fe64eb31c3e9038935e34478a10716143fbe2afcbb3",
+    "pd_links/cloud_009_noise.csv": "6ff95de524cec537ef17ecfeca267e0bea37a02bb4333071b09144afd206e783",
+    "pd_links/cloud_010_noise.csv": "6ae4eda0ca153aa9afa372f8491ff368d4d1769a71b525b2a424e27267048c37",
+    "pd_links/cloud_011_noise.csv": "5477d1f382e6c77e241fcaffde2b8cb307b85065d0dbc975d5732ea5e7dd5e7f",
+    "syn/cloud_000_one_loop.csv": "805ceee2d00ded127192dd7a0356ff1f93a38b959512433edcd1dd30720d5577",
+    "syn/cloud_001_one_loop.csv": "c813de173c5a3f944d54f3077bcfa3ec0b3bd384036d32f8f332e27e3942cafc",
+    "syn/cloud_002_one_loop.csv": "b2e9765b1a4733d23edb04cbcd76bd6eea33d2905bb11c091947037fadd3a8b6",
+    "syn/cloud_003_one_loop.csv": "41cb886ab06c31443427718759cf74d2a6aa99dfd2bc2a53ca90681be52444b7",
+    "syn/cloud_004_two_loops.csv": "6240fbe760e7ede212727f374278efe4d2acc8fdc155e77ee6ab1388dcda8fc3",
+    "syn/cloud_005_two_loops.csv": "36d7325c60b84aeccf44f2af534d73603356b5b017da160bdb15cc3e2455274e",
+    "syn/cloud_006_two_loops.csv": "b8b9eaadc25786389d060673cecf052e709d83fed90daeff0af52b690a12c755",
+    "syn/cloud_007_two_loops.csv": "bd86857d87d21ef328d856ba45e07d4285788da84cf9f8a3b006c10ec8f76310",
+    "syn/cloud_008_noise.csv": "b0fadc30cd590fcff690d661bce514c3f9751ccfda7ce0054187097a110b8b70",
+    "syn/cloud_009_noise.csv": "db04ebce60dcb73d818e8e3b039591db4bd31da6843d319d35a7e492df9a8f5e",
+    "syn/cloud_010_noise.csv": "3a4276d710d738d79d4138cde432039f8d20ad86dc356142e026f3919288e254",
+    "syn/cloud_011_noise.csv": "df1a8c6bb5c1faffe19e258e8deb3f9ff5420ff248df91deb2d827c155272c45",
+    "syn/labels.csv": "a085d577679db3fb1a6c577bacd7d905762a7999030386b88fb3ccbb6e06f088",
+    "syn/manifest.json": "c37f9dcb5c47a9f1fcc8bc12a22179ffa9d4ec62f8eb27a1cd15e0fd45345116",
+}
+
+
+def test_golden_chain_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run("synth", "--per-class", 4, "--seed", 3, "--output-dir", "syn") == 0
+    names = sorted(p.stem for p in Path("syn").glob("cloud_*.csv"))
+    for out, links in (("pd", ()), ("pd_links", ("--temporal-links",))):
+        Path(out).mkdir()
+        for name in names:
+            assert run("persist", "--input", f"syn/{name}.csv", *links,
+                       "--output", f"{out}/{name}.csv") == 0
+    dgms = [f"pd/{name}.csv" for name in names]
+    for metric in ("w1", "w2"):
+        for dim in (0, 1):
+            stem = f"dm_{metric}_{dim}"
+            assert run("distmat", "--inputs", *dgms, "--metric", metric, "--dim", dim,
+                       "--output", f"{stem}.csv", "--manifest", f"{stem}.json") == 0
+    for dim, out in ((1, "alexandrov"), (0, "alexandrov_dim0")):
+        assert run("geodesic", "--from", dgms[0], "--to", dgms[-1], "--steps", 3,
+                   "--space", "alexandrov", "--dim", dim, "--output-dir", out) == 0
+    got = {p.as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(Path(".").rglob("*")) if p.is_file()}
+    assert got == GOLDEN_DIGESTS
 
 
 def test_geodesic_steps_checked_before_reading(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 
 import numpy as np
@@ -8,6 +9,7 @@ from persphere.persistence import PersistenceDiagram
 from persphere.wasserstein import (
     DIAGONAL,
     alexandrov_geodesic,
+    alexandrov_path,
     brute_force,
     wasserstein,
 )
@@ -325,6 +327,98 @@ def test_batched_line_path_equals_wasserstein(q):
             total += diag_y[j] if i is None else diag_x[i] if j is None else cross[i, j]
         summed = total if q == 1 else np.sqrt(total)
         assert abs(d - summed) <= len(matching.pairs) * np.spacing(summed)
+
+
+def _interpolate_by_loop(x, y, s):
+    """The geodesic as a loop over `wasserstein`'s Matching, one point at a
+    time: the reference for `alexandrov_path`'s rows, their order and bytes."""
+    _, matching = wasserstein(x, y, q=2)
+    out = []
+    for i, j in matching.pairs:
+        if i is not None:
+            a = x.pairs[i]
+            b = y.pairs[j] if j is not None else np.full(2, a.mean())
+        else:
+            b = y.pairs[j]
+            a = np.full(2, b.mean())
+        p = (1.0 - s) * a + s * b
+        if p[1] > p[0]:
+            out.append(p)
+    return np.asarray(out, dtype=float) if out else np.empty((0, 2))
+
+
+def test_alexandrov_path_equals_the_per_point_loop():
+    rng = np.random.default_rng(59)
+    corpus = []
+    for _ in range(60):
+        # One birth with tied deaths: the alignment's partners.
+        birth = float(rng.choice([0.0, 0.3]))
+        nx, ny = (int(n) for n in rng.integers(0, 12, 2))
+        corpus.append((_line_pd(birth, _line_deaths(rng, birth, nx)),
+                       _line_pd(birth, _line_deaths(rng, birth, ny))))
+        # Two births, and random births: the Hungarian partners.
+        nx, ny = (int(n) for n in rng.integers(1, 8, 2))
+        corpus.append((_line_pd(0.0, _line_deaths(rng, 0.0, nx)),
+                       _line_pd(0.3, _line_deaths(rng, 0.3, ny))))
+        corpus.append((_random_pd(rng, nx), _random_pd(rng, ny)))
+    full = _random_pd(rng, 5)
+    corpus += [(EMPTY, EMPTY), (full, EMPTY), (EMPTY, full)]
+    fractions = [0.0, 0.25, 0.5, 1.0]
+    for x, y in corpus:
+        path = alexandrov_path(x, y, fractions)
+        for s, step in zip(fractions, path):
+            ref = _interpolate_by_loop(x, y, s)
+            assert step.pairs.shape == ref.shape
+            assert step.pairs.tobytes() == ref.tobytes()
+            one = alexandrov_geodesic(x, y, s)
+            assert one.pairs.tobytes() == step.pairs.tobytes()
+            assert one.essential.tobytes() == step.essential.tobytes()
+
+
+def test_alexandrov_path_carries_essential_bars():
+    # Essential births pair in sorted order (0.0 with 0.1, 0.4 with 0.2);
+    # each step lists them in X's order, so the path starts at X.
+    x = PersistenceDiagram(0, [[0.0, 0.5]], [0.4, 0.0])
+    y = PersistenceDiagram(0, [[0.0, 0.3]], [0.1, 0.2])
+    start, mid, end = alexandrov_path(x, y, [0.0, 0.5, 1.0])
+    assert start.pairs.tobytes() == x.pairs.tobytes()
+    assert start.essential.tolist() == [0.4, 0.0]
+    assert mid.essential.tolist() == [0.5 * 0.4 + 0.5 * 0.2, 0.5 * 0.1]
+    assert end.essential.tolist() == [0.2, 0.1]
+    assert alexandrov_geodesic(x, y, 0.5).essential.tolist() == mid.essential.tolist()
+    assert alexandrov_path(x, y, []) == []
+    with pytest.raises(ValueError, match="2 and 1 essential bars"):
+        alexandrov_path(x, PersistenceDiagram(0, [[0.0, 0.3]], [0.1]), [0.5])
+    with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+        alexandrov_path(x, y, [0.5, 1.5])
+
+
+def test_line_partners_tie_order():
+    # Deaths on a grid tie within and across the diagrams, so the order of
+    # the strict comparisons (pair, then X to the diagonal, then Y to the
+    # diagonal) decides partners. The values were recorded before the cell
+    # loop took its current form; testing the Y move before the X move
+    # changes the partners of this pair and the corpus digest.
+    x = _line_pd(0.0, 0.05 * np.array([5, 1, 1, 3, 5, 5, 1, 3, 1]))
+    y = _line_pd(0.0, 0.05 * np.array([8, 10, 2, 4, 8, 6, 4, 10]))
+    costs = W._assignment_costs(x, y, 2)
+    partner, total = W._line_partners(x.pairs[:, 1], y.pairs[:, 1], *costs)
+    assert partner == [0, -1, 2, 6, 1, 7, -1, 5, -1]
+    assert total == float.fromhex("0x1.1d70a3d70a3d8p-2")
+    rng = np.random.default_rng(53)
+    record = hashlib.sha256()
+    for _ in range(200):
+        birth = float(rng.choice([0.0, 0.3]))
+        nx, ny = (int(n) for n in rng.integers(0, 10, 2))
+        x = _line_pd(birth, _line_deaths(rng, birth, nx))
+        y = _line_pd(birth, _line_deaths(rng, birth, ny))
+        for q in (1, 2):
+            costs = W._assignment_costs(x, y, q)
+            partner, total = W._line_partners(x.pairs[:, 1], y.pairs[:, 1], *costs)
+            record.update(f"{partner} {total.hex()}\n".encode())
+    assert record.hexdigest() == (
+        "0b844d01168ae1bf7fead7757ee89f305a9982467fef757ae6a225075eff63da"
+    )
 
 
 def test_homology_dimensions_must_agree():
