@@ -110,11 +110,13 @@ def kde(pd: PersistenceDiagram, sigma: float, grid_size: int = 64) -> Persistenc
     sigma : float
         Kernel standard deviation, positive and finite.
     grid_size : int
-        Grid resolution K, >= 2.
+        Grid resolution K, an integer >= 2.
     """
     _check_sigma(sigma)
     if grid_size < 2:
         raise ValueError(f"grid resolution must be >= 2, got {grid_size}")
+    if not float(grid_size).is_integer():
+        raise ValueError(f"grid resolution must be an integer, got {grid_size}")
     if pd.essential.size:
         raise ValueError("diagram has uncapped essential bars; normalize it first")
     pts = pd.pairs

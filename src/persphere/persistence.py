@@ -20,6 +20,10 @@ import numpy as np
 
 from .errors import ParseError, read_csv, write_csv
 
+# Rank entries per block of the H1 pivot pass. Candidates that fit one
+# block have their coboundary columns built once, as rows of one table.
+_PIVOT_BLOCK = 1 << 18
+
 
 class FiltrationError(ValueError):
     """Raised when a filtration violates the face-ordering contract."""
@@ -347,7 +351,10 @@ def diagram_of_cloud(
     and every pair born later has zero persistence, so every H0 merge and
     every H1 death stays visible. For m edges below the cut and n points a
     call holds an m·n-byte working column plus the columns its reduction
-    keeps. `_h0_by_union_find` and `_h1_by_cohomology` describe the engine.
+    keeps, and, when its c candidate columns fit one pivot block (c·n <=
+    2^18), all of them as c·n int64 numbers, at most 2 MB; otherwise it
+    rebuilds each column when needed. `_h0_by_union_find` and
+    `_h1_by_cohomology` describe the engine.
 
     >>> pd0, pd1 = diagram_of_cloud([[0, 0], [1, 0], [1, 1], [0, 1]])
     >>> pd1.pairs
@@ -427,6 +434,10 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
     the pair is final. One vectorised pass finds every pivot, and all
     apparent pairs are set at once; only the other candidates are reduced,
     and one of them that meets t finds its owner through t's latest edge.
+    When every candidate fits one block of the pass (candidates * n <=
+    `_PIVOT_BLOCK`), the pass builds every candidate's whole coboundary,
+    one row each, and the reduction reads columns from those rows; larger
+    clouds rebuild a column each time the reduction needs it.
 
     Ranks and endpoints are int32, triangle numbers int64. The working
     column is `work`: one bool per number, plus a sentinel at m * n, always
@@ -434,8 +445,10 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
     coboundary puts its missing triangles. An addition toggles numbers >=
     the pivot in one scatter, so one forward scan per column finds pivots.
     The working set is those m * n + 3 * n bytes, 4 * n * n bytes of ranks,
-    about 40 bytes per edge for pivots, owners and deaths, and 8 bytes per
-    number of each column kept (see `claimed` for which are).
+    about 40 bytes per edge for pivots, owners and deaths, 8 bytes per
+    number of each column kept (see `claimed` for which are), and, if the
+    candidates fit one block, their 8 * candidates * n bytes of rows, at
+    most 2 MB.
     """
     m = births.size
     mn = m * n
@@ -449,29 +462,42 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
     cand = np.flatnonzero(creators).astype(np.int32)
     ci, cj = edges_i[cand].astype(np.int32), edges_j[cand].astype(np.int32)
     verts = np.arange(n)
-
-    def column(q):
-        """The coboundary of candidate q, unsorted, its smallest number the
-        pivot; numbers past m * n stand for missing triangles."""
-        a, b = ci.item(q), cj.item(q)
-        late = np.maximum(rank[a], rank[b])
-        np.maximum(late, cand.item(q), out=late)
-        keys = first[late]
-        keys += verts
-        keys += a + b
-        return keys
-
-    # Pivots of all candidate columns, a bounded block of rows at a time;
-    # pivots[cand.size] = -1 stands for a non-candidate and equals no number.
+    # Pivots of all candidate columns; pivots[cand.size] = -1 stands for a
+    # non-candidate and equals no number. A coboundary's pivot is its
+    # smallest number, m * n if it has no coface.
     pivots = np.full(cand.size + 1, -1, dtype=np.int64)
-    step = max(1, (1 << 18) // n)
-    for s in range(0, cand.size, step):
-        t = slice(s, min(s + step, cand.size))
-        late = np.maximum(rank[ci[t]], rank[cj[t]])
-        np.maximum(late, cand[t, None], out=late)
-        k = late.argmin(axis=1)  # late ties only at this edge's rank, where o = k
-        low = first[late[np.arange(k.size), k]] + ci[t] + cj[t] + k
-        pivots[t] = np.minimum(low, mn)  # m * n: no coface
+    if cand.size * n <= _PIVOT_BLOCK:
+        # One block: build every candidate's coboundary once, a row each.
+        late = np.maximum(rank[ci], rank[cj])
+        np.maximum(late, cand[:, None], out=late)
+        table = first[late]
+        table += verts
+        table += (ci + cj)[:, None]
+        pivots[:-1] = np.minimum(table.min(axis=1), mn)
+
+        def column(q):
+            return table[q]
+    else:
+        def column(q):
+            """The coboundary of candidate q, unsorted, its smallest number
+            the pivot; numbers past m * n stand for missing triangles."""
+            a, b = ci.item(q), cj.item(q)
+            late = np.maximum(rank[a], rank[b])
+            np.maximum(late, cand.item(q), out=late)
+            keys = first[late]
+            keys += verts
+            keys += a + b
+            return keys
+
+        step = max(1, _PIVOT_BLOCK // n)
+        for s in range(0, cand.size, step):
+            t = slice(s, min(s + step, cand.size))
+            late = np.maximum(rank[ci[t]], rank[cj[t]])
+            np.maximum(late, cand[t, None], out=late)
+            k = late.argmin(axis=1)  # late ties only at this edge's rank, where o = k
+            low = first[late[np.arange(k.size), k]] + ci[t] + cj[t] + k
+            pivots[t] = np.minimum(low, mn)
+
     owner = np.full(m + 1, cand.size, dtype=np.int32)  # edge rank -> its candidate
     owner[cand] = np.arange(cand.size, dtype=np.int32)
 
@@ -486,6 +512,8 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
     # is met again, or at once after more than a quarter of those met so
     # far were met again, as in sparse linked clouds (a quarter, not a
     # third: the pivots met last have had little time to be met again).
+    # That reason holds where columns are rebuilt; columns read from the
+    # table follow the same rule, and a kept one drops its missing triangles.
     claimed: dict[int, object] = {}
     seen, again = set(), 0  # plain pivots met and not kept; how many were met again
     work = np.zeros(mn + 3 * n, dtype=bool)  # the working column, one parity per number

@@ -133,6 +133,19 @@ def test_kde_errors():
         kde(PersistenceDiagram(1, np.array([[0.1, 0.4]]), np.array([0.2])), 0.05, 64)
 
 
+@pytest.mark.parametrize("grid_size", [64.5, 2.5, np.inf, np.nan])
+def test_non_integral_grid_size_rejected(grid_size):
+    # Cell centers are (i + 0.5) / K for integer K; K = 64.5 would give 65
+    # cells at the wrong centers.
+    with pytest.raises(ValueError, match="grid resolution must be an integer"):
+        kde(_pd([[0.3, 0.7]]), sigma=0.05, grid_size=grid_size)
+
+
+def test_integral_float_grid_size_is_the_integer_grid():
+    pd = _pd([[0.3, 0.7]])
+    assert np.array_equal(kde(pd, 0.05, 16.0).grid, kde(pd, 0.05, 16).grid)
+
+
 @pytest.mark.parametrize("sigma", [np.inf, np.nan])
 def test_non_finite_sigma_rejected(sigma):
     # At sigma=inf every kernel is 1, and the grid would be silently uniform.

@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+from persphere import persistence
 from persphere.embedding import delay_embed
 from persphere.errors import ParseError
 from persphere.persistence import (
@@ -358,7 +359,25 @@ def _equivalence_corpus():
     return clouds
 
 
-def test_engine_matches_reference_reduction_bytes(tmp_path):
+# The H1 engine builds every candidate's coboundary once, as a table row,
+# when all candidates fit one pivot block, and rebuilds each column when it
+# is needed otherwise. At their own sizes the corpus and the n=60 clouds
+# below take only the table and the n=100 cloud only the rebuild, so these
+# block sizes force each source of columns.
+COLUMN_SOURCES = {"table": 1 << 62, "rebuild": 1}
+
+
+def _engine_bytes(monkeypatch, path, *args):
+    """The engine's diagram CSV bytes for each source of columns."""
+    out = {}
+    for source, block in COLUMN_SOURCES.items():
+        monkeypatch.setattr(persistence, "_PIVOT_BLOCK", block)
+        write_diagrams(path, diagram_of_cloud(*args))
+        out[source] = path.read_bytes()
+    return out
+
+
+def test_engine_matches_reference_reduction_bytes(tmp_path, monkeypatch):
     # diagram_of_cloud must write exactly the bytes the reference reduction
     # of the full filtration writes, for each scale regime: below the
     # enclosing radius, between it and the diameter, and beyond.
@@ -372,30 +391,36 @@ def test_engine_matches_reference_reduction_bytes(tmp_path):
             if radius > 0:
                 scales += [0.5 * radius, radius, 0.5 * (radius + diameter)]
             for max_scale in scales:
-                write_diagrams(fast_path, diagram_of_cloud(cloud, max_scale, temporal))
                 reference = (diameter or 1.0) if max_scale is None else max_scale
                 write_diagrams(
                     slow_path,
                     compute_persistence(build_rips(cloud, reference, temporal)),
                 )
-                assert fast_path.read_bytes() == slow_path.read_bytes()
+                fast = _engine_bytes(monkeypatch, fast_path, cloud, max_scale, temporal)
+                assert fast == dict.fromkeys(COLUMN_SOURCES, slow_path.read_bytes())
 
 
-def test_engine_matches_reference_on_a_linked_delay_embedding(tmp_path):
+@pytest.mark.parametrize(
+    "n, fraction", [(100, None), (60, None), (60, 0.6)], ids=["100", "60", "60-cut"]
+)
+def test_engine_matches_reference_on_a_linked_delay_embedding(tmp_path, monkeypatch, n, fraction):
     # A delay-embedded noisy sine with temporal links, the pipeline's own
-    # kind of input, at a size where reduced columns collide often; the
-    # rounded copy adds tied edge births.
+    # kind of input, at a size where reduced columns collide often, and at
+    # the series workload's size, also cut at 0.6 times the diameter as it
+    # cuts some of its clouds; the rounded copy adds tied edge births.
     rng = np.random.default_rng(89)
-    t = np.arange(120)
+    t = np.arange(n + 20)
     series = np.sin(2 * np.pi * t / 25) + 0.1 * rng.normal(size=t.size)
     cloud = delay_embed(series, m=3, tau=10)
-    assert cloud.shape == (100, 3)
+    assert cloud.shape == (n, 3)
     fast_path, slow_path = tmp_path / "fast.csv", tmp_path / "slow.csv"
     for points in (cloud, np.round(cloud, 1)):
-        write_diagrams(fast_path, diagram_of_cloud(points, temporal_links=True))
-        reference = build_rips(points, cloud_diameter(points), True)
+        diameter = cloud_diameter(points)
+        cut = None if fraction is None else fraction * diameter
+        reference = build_rips(points, diameter if cut is None else cut, True)
         write_diagrams(slow_path, compute_persistence(reference))
-        assert fast_path.read_bytes() == slow_path.read_bytes()
+        fast = _engine_bytes(monkeypatch, fast_path, points, cut, True)
+        assert fast == dict.fromkeys(COLUMN_SOURCES, slow_path.read_bytes())
 
 
 def test_engine_rejects_bad_input():
