@@ -96,8 +96,13 @@ def cross_distances(rows, cols, metric: str) -> np.ndarray:
     else:
         raise ValueError(f"unknown metric {metric!r}; pick one of {METRICS}")
     if same:
-        upper = np.triu(dist, 1)
-        dist = upper + upper.T
+        # Mirror the upper triangle in place, a row at a time. Adding 0.0
+        # turns -0.0 into 0.0 and changes nothing else, as the sum with the
+        # zero lower triangle did.
+        for r in range(1, len(rows)):
+            dist[r, :r] = dist[:r, r]
+        np.fill_diagonal(dist, 0.0)
+        dist += 0.0
     return dist
 
 

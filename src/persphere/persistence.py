@@ -136,13 +136,33 @@ def _as_cloud(cloud) -> np.ndarray:
 
 
 def _distance_matrix(pts: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances, in row blocks of about 2^20 differences."""
+    """
+    Pairwise Euclidean distances, in row blocks of about 2^20 differences.
+
+    The floats are those of `np.sqrt(((p[:, None] - p[None]) ** 2).sum(-1))`.
+    numpy sums fewer than 8 terms in order, so a cloud with fewer than 8
+    coordinates adds its squared differences one coordinate at a time,
+    which is several times faster than reducing over a short last axis.
+    From 8 terms on numpy sums pairwise, and only that reduction gives its
+    bytes, so wider clouds keep it.
+    """
     n, m = pts.shape
     dist = np.empty((n, n))
     step = max(1, (1 << 20) // (n * m))
     for s in range(0, n, step):
-        diff = pts[s:s + step, None, :] - pts[None, :, :]
-        dist[s:s + step] = np.sqrt((diff * diff).sum(axis=-1))
+        rows, block = pts[s:s + step], dist[s:s + step]
+        if m < 8:
+            np.subtract(rows[:, None, 0], pts[:, 0], out=block)
+            block *= block
+            diff = np.empty_like(block)
+            for c in range(1, m):
+                np.subtract(rows[:, None, c], pts[:, c], out=diff)
+                diff *= diff
+                block += diff
+            np.sqrt(block, out=block)
+        else:
+            diff = rows[:, None, :] - pts[None, :, :]
+            np.sqrt((diff * diff).sum(axis=-1), out=block)
     return dist
 
 
@@ -437,13 +457,19 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
     When every candidate fits one block of the pass (candidates * n <=
     `_PIVOT_BLOCK`), the pass builds every candidate's whole coboundary,
     one row each, and the reduction reads columns from those rows; larger
-    clouds rebuild a column each time the reduction needs it.
+    clouds rebuild a column each time the reduction needs it, and keep
+    those met again (see `claimed`).
 
-    Ranks and endpoints are int32, triangle numbers int64. The working
-    column is `work`: one bool per number, plus a sentinel at m * n, always
-    set, that marks a zero column, plus 3 * n junk bools past it where a
-    coboundary puts its missing triangles. An addition toggles numbers >=
-    the pivot in one scatter, so one forward scan per column finds pivots.
+    Ranks and endpoints are int32, triangle numbers int64: as scatter
+    indices into `work`, int32 numbers would be converted on every
+    addition. Rows of `rank` and entries of `first` are gathered with
+    `take`, which is faster than fancy indexing. The working column is `work`:
+    one bool per number, plus a sentinel at m * n, always set, that marks a
+    zero column, plus 3 * n junk bools past it where a coboundary puts its
+    missing triangles. An addition toggles numbers >= the pivot in one
+    scatter, so one forward scan per column finds pivots. A scan that finds
+    the pivot still set means the added column lacked it, a fault in
+    building columns, and raises RuntimeError rather than adding forever.
     The working set is those m * n + 3 * n bytes, 4 * n * n bytes of ranks,
     about 40 bytes per edge for pivots, owners and deaths, 8 bytes per
     number of each column kept (see `claimed` for which are), and, if the
@@ -466,11 +492,12 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
     # non-candidate and equals no number. A coboundary's pivot is its
     # smallest number, m * n if it has no coface.
     pivots = np.full(cand.size + 1, -1, dtype=np.int64)
+    table = None
     if cand.size * n <= _PIVOT_BLOCK:
         # One block: build every candidate's coboundary once, a row each.
-        late = np.maximum(rank[ci], rank[cj])
+        late = np.maximum(rank.take(ci, axis=0), rank.take(cj, axis=0))
         np.maximum(late, cand[:, None], out=late)
-        table = first[late]
+        table = first.take(late)
         table += verts
         table += (ci + cj)[:, None]
         pivots[:-1] = np.minimum(table.min(axis=1), mn)
@@ -484,7 +511,7 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
             a, b = ci.item(q), cj.item(q)
             late = np.maximum(rank[a], rank[b])
             np.maximum(late, cand.item(q), out=late)
-            keys = first[late]
+            keys = first.take(late)
             keys += verts
             keys += a + b
             return keys
@@ -492,10 +519,10 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
         step = max(1, _PIVOT_BLOCK // n)
         for s in range(0, cand.size, step):
             t = slice(s, min(s + step, cand.size))
-            late = np.maximum(rank[ci[t]], rank[cj[t]])
+            late = np.maximum(rank.take(ci[t], axis=0), rank.take(cj[t], axis=0))
             np.maximum(late, cand[t, None], out=late)
             k = late.argmin(axis=1)  # late ties only at this edge's rank, where o = k
-            low = first[late[np.arange(k.size), k]] + ci[t] + cj[t] + k
+            low = first.take(late[np.arange(k.size), k]) + ci[t] + cj[t] + k
             pivots[t] = np.minimum(low, mn)
 
     owner = np.full(m + 1, cand.size, dtype=np.int32)  # edge rank -> its candidate
@@ -506,14 +533,14 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
     deaths[apparent] = pivots[:-1][apparent]
     # A claimed pivot maps to its candidate while the column is still the
     # plain coboundary, and to the column's numbers below m * n once they are
-    # kept. An apparent pivot enters it when a reduction first meets it.
-    # Masking a plain column to keep it costs about a third of rebuilding
-    # it, and most plain columns are met once; so a column is kept when it
-    # is met again, or at once after more than a quarter of those met so
-    # far were met again, as in sparse linked clouds (a quarter, not a
-    # third: the pivots met last have had little time to be met again).
-    # That reason holds where columns are rebuilt; columns read from the
-    # table follow the same rule, and a kept one drops its missing triangles.
+    # kept; an apparent pivot is found through its latest edge until then.
+    # Where columns are rebuilt, masking a plain column to keep it costs
+    # about a third of rebuilding it, and most plain columns are met once;
+    # so a column is kept when it is met again, or at once after more than a
+    # quarter of those met so far were met again, as in sparse linked
+    # clouds (a quarter, not a third: the pivots met last have had little
+    # time to be met again). A table row costs nothing to fetch, so the
+    # table side keeps only reduced columns.
     claimed: dict[int, object] = {}
     seen, again = set(), 0  # plain pivots met and not kept; how many were met again
     work = np.zeros(mn + 3 * n, dtype=bool)  # the working column, one parity per number
@@ -529,18 +556,23 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
                     break
             if isinstance(other, int):
                 other = column(other)
-                if low in seen:
-                    again += 1
-                if low in seen or 4 * again > len(seen):
-                    other = claimed[low] = other[other < mn]
-                else:
-                    seen.add(low)
+                if table is None:
+                    if low in seen:
+                        again += 1
+                    if low in seen or 4 * again > len(seen):
+                        other = claimed[low] = other[other < mn]
+                    else:
+                        seen.add(low)
             if not added:
                 added.append(column(q))
                 work[added[0]] = True
             work[other] ^= True
             added.append(other)
-            low += int(work[low:].argmax())  # every key added was >= low
+            gap = int(work[low:].argmax())  # every key added was >= low
+            if not gap:
+                raise RuntimeError(
+                    f"H1 reduction: edge {cand.item(q)}'s column kept pivot {low} after an addition")
+            low += gap
         if low == mn:
             continue
         deaths[q], claimed[low] = low, q

@@ -170,18 +170,16 @@ def geodesic(p1: SqrtDensity, p2: SqrtDensity, s: float) -> SqrtDensity:
     return exp_map(p1, log_map(p1, p2).scaled(s))
 
 
-def _stack(densities) -> np.ndarray:
-    """The (n, K, K) stack of the densities' grids, one shared resolution."""
+def _check_resolution(densities) -> None:
+    """Raise ValueError for an empty set or mixed grid resolutions."""
     if not densities:
         raise ValueError("cannot average an empty set of densities")
     k = densities[0].grid_size
     if any(d.grid_size != k for d in densities):
         raise ValueError("densities have mixed grid resolutions")
-    return np.array([d.grid for d in densities])
 
 
-def _mean_of_stack(grids: np.ndarray) -> SqrtDensity:
-    mean = grids.mean(axis=0)
+def _onto_sphere(mean: np.ndarray) -> SqrtDensity:
     norm = grid_norm(mean)
     if norm == 0.0:
         raise ValueError("mean grid is zero; cannot project onto the sphere")
@@ -189,8 +187,17 @@ def _mean_of_stack(grids: np.ndarray) -> SqrtDensity:
 
 
 def extrinsic_mean(densities) -> SqrtDensity:
-    """Cellwise average of the set, rescaled back onto the unit sphere."""
-    return _mean_of_stack(_stack(list(densities)))
+    """Cellwise average of the set, rescaled back onto the unit sphere.
+
+    The grids are added in order, as the mean of their stack adds them, so
+    the stack is never built.
+    """
+    densities = list(densities)
+    _check_resolution(densities)
+    total = densities[0].grid.copy()
+    for d in densities[1:]:
+        total += d.grid
+    return _onto_sphere(total / len(densities))
 
 
 @dataclass
@@ -325,8 +332,9 @@ def pga_features(densities, n_components: int) -> tuple[PgaModel, np.ndarray]:
     n = len(densities)
     if n < 2:
         raise ValueError("principal geodesic analysis needs at least 2 densities")
-    grids = _stack(densities)
-    mean = _mean_of_stack(grids)
+    _check_resolution(densities)
+    grids = np.array([d.grid for d in densities])
+    mean = _onto_sphere(grids.mean(axis=0))
     k = mean.grid_size
     cells = k * k
     # The tangent space at the mean has cells - 1 dimensions.
@@ -341,11 +349,20 @@ def pga_features(densities, n_components: int) -> tuple[PgaModel, np.ndarray]:
     gram /= cells
     if np.any(np.abs(scale * (tangents @ mu)) / cells > TANGENCY_TOL):
         raise ValueError("values are not tangent to the base density")
-    gram *= np.multiply.outer(scale, scale)
-    row_means = gram.mean(axis=1)
-    gram += row_means.mean()
-    gram -= np.add.outer(row_means, row_means)
-    gram /= n
+    # Scale, then centre, in row blocks of about 2^20 entries, so that no
+    # temporary is n x n.
+    step = max(1, (1 << 20) // n)
+    row_means = np.empty(n)
+    for s in range(0, n, step):
+        block = gram[s:s + step]
+        block *= scale[s:s + step, None] * scale
+        row_means[s:s + step] = block.mean(axis=1)
+    grand_mean = row_means.mean()
+    for s in range(0, n, step):
+        block = gram[s:s + step]
+        block += grand_mean
+        block -= row_means[s:s + step, None] + row_means
+        block /= n
     eigvals, eigvecs = top_eigenpairs(gram, n_components)
     weights = (eigvecs - eigvecs.mean(axis=0)) * scale[:, None]
 

@@ -423,6 +423,20 @@ def test_engine_matches_reference_on_a_linked_delay_embedding(tmp_path, monkeypa
         assert fast == dict.fromkeys(COLUMN_SOURCES, slow_path.read_bytes())
 
 
+@pytest.mark.parametrize("m", range(1, 13))
+def test_distance_matrix_equals_the_one_expression_reduction(m):
+    # Clouds of fewer than 8 coordinates add one coordinate at a time, and
+    # wider ones reduce over the last axis; both must give the floats of
+    # the one-expression reduction, on coordinates of unlike scales, and
+    # across row blocks: n * n * m exceeds the block's 2^20 differences.
+    rng = np.random.default_rng(m)
+    n = math.isqrt((1 << 20) // m) + 7
+    p = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-3, 3, m)
+    p[: n // 3] = np.round(p[: n // 3], 1)  # ties and exact zeros
+    want = np.sqrt(((p[:, None] - p[None]) ** 2).sum(-1))
+    assert persistence._distance_matrix(p).tobytes() == want.tobytes()
+
+
 def test_engine_rejects_bad_input():
     with pytest.raises(ValueError):
         diagram_of_cloud(np.empty((0, 2)))

@@ -264,6 +264,15 @@ def test_extrinsic_mean_is_two_point_midpoint():
     assert np.abs(mean.grid - mid.grid).max() <= 1e-6
 
 
+def test_extrinsic_mean_equals_the_normalized_mean_of_the_stack():
+    # The grids are added one by one, in the order the mean of their stack
+    # adds them, so the bytes are the same without the stack.
+    psis = _random_psis(11, 9)
+    stacked = np.array([p.grid for p in psis]).mean(axis=0)
+    want = stacked / grid_norm(stacked)
+    assert extrinsic_mean(iter(psis)).grid.tobytes() == want.tobytes()
+
+
 def test_extrinsic_mean_errors():
     with pytest.raises(ValueError):
         extrinsic_mean([])
