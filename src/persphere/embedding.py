@@ -16,9 +16,9 @@ def delay_embed(series, m: int, tau: int) -> np.ndarray:
     series : array-like, shape (n,)
         Scalar samples, ordered in time. All values must be finite.
     m : int
-        Embedding dimension (number of delayed copies), >= 1.
+        Embedding dimension (number of delayed copies), an integer >= 1.
     tau : int
-        Delay between consecutive coordinates, in samples, >= 1.
+        Delay between consecutive coordinates, in samples, an integer >= 1.
 
     Returns
     -------
@@ -39,6 +39,9 @@ def delay_embed(series, m: int, tau: int) -> np.ndarray:
         raise ValueError(f"embedding dimension must be >= 1, got {m}")
     if tau < 1:
         raise ValueError(f"embedding delay must be >= 1, got {tau}")
+    if not (float(m).is_integer() and float(tau).is_integer()):
+        raise ValueError(f"embedding dimension and delay must be integers, got m={m}, tau={tau}")
+    m, tau = int(m), int(tau)
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("series must be a non-empty 1-D sequence")

@@ -4,6 +4,7 @@ and JSON reader and writer every file format goes through."""
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -40,9 +41,38 @@ def read_csv(path, header=None, text=0, inf_column=None, empty_ok=False) -> Tabl
     without a header), the line number of each data row, the text columns
     of each row, and the other columns as a (rows, columns - text) array.
     """
-    linenos, texts, rows = [], [], []
-    width = None
-    fields = None
+    try:
+        fields, width, linenos, texts, numbers = _read_rows(path, header, text, whole=True)
+    except ValueError:
+        # Any fault: read again a line at a time, which raises the ParseError
+        # of the first faulty line, or of a file that is not UTF-8.
+        fields, width, linenos, texts, numbers = _read_rows(path, header, text, whole=False)
+    if not linenos and not empty_ok:
+        raise ParseError(f"{path}: no data rows")
+    values = np.asarray(numbers, dtype=float).reshape(len(linenos), width - text)
+    bad = ~np.isfinite(values)
+    if inf_column is not None:
+        bad[:, inf_column - text] &= values[:, inf_column - text] != np.inf
+    if bad.any():
+        r = int(np.argmax(bad.any(axis=1)))
+        raise ParseError(
+            f"{path}:{linenos[r]}: non-finite value {values[r][bad[r]][0]}"
+        )
+    return Table(fields, linenos, texts, values)
+
+
+def _read_rows(path, header, text, whole):
+    """
+    The header fields, the column count, and the line numbers, text cells
+    and numbers of the data rows, for `read_csv`.
+
+    With `whole`, the body is read at once and split on LF, as iterating
+    the file splits it (not on every line break `str.splitlines` knows),
+    and the numbers of all rows are converted by one `map(float, ...)` into
+    one flat list; a fault raises a bare ValueError. Otherwise the file is
+    read a line at a time and the first faulty line raises ParseError.
+    """
+    fields = width = None
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             if header is not None:
@@ -52,7 +82,19 @@ def read_csv(path, header=None, text=0, inf_column=None, empty_ok=False) -> Tabl
                     raise ParseError(f"{path}: expected header {header!r}, got {line!r}")
                 fields = line.split(",")
                 width = len(fields)
-            for lineno, line in enumerate(fh, start=2 if header is not None else 1):
+            start = 2 if header is not None else 1
+            if whole:
+                lines = [line.strip() for line in fh.read().split("\n")]
+                linenos = [k for k, line in enumerate(lines, start) if line]
+                rows = [line.split(",") for line in lines if line]
+                if rows and width is None:
+                    width = len(rows[0])
+                if any(len(row) != width for row in rows):
+                    raise ValueError("rows of unlike width")
+                numbers = list(map(float, chain.from_iterable(row[text:] for row in rows)))
+                return fields, width, linenos, [row[:text] for row in rows], numbers
+            linenos, texts, rows = [], [], []
+            for lineno, line in enumerate(fh, start):
                 line = line.strip()
                 if not line:
                     continue
@@ -69,20 +111,9 @@ def read_csv(path, header=None, text=0, inf_column=None, empty_ok=False) -> Tabl
                     raise ParseError(f"{path}:{lineno}: {exc}") from None
                 linenos.append(lineno)
                 texts.append(row[:text])
+            return fields, width, linenos, texts, rows
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
-    if not rows and not empty_ok:
-        raise ParseError(f"{path}: no data rows")
-    values = np.asarray(rows, dtype=float).reshape(len(rows), width - text)
-    bad = ~np.isfinite(values)
-    if inf_column is not None:
-        bad[:, inf_column - text] &= values[:, inf_column - text] != np.inf
-    if bad.any():
-        r = int(np.argmax(bad.any(axis=1)))
-        raise ParseError(
-            f"{path}:{linenos[r]}: non-finite value {values[r][bad[r]][0]}"
-        )
-    return Table(fields, linenos, texts, values)
 
 
 def write_csv(path, values, header=None, text=None) -> None:

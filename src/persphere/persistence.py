@@ -23,6 +23,10 @@ from .errors import ParseError, read_csv, write_csv
 # Rank entries per block of the H1 pivot pass. Candidates that fit one
 # block have their coboundary columns built once, as rows of one table.
 _PIVOT_BLOCK = 1 << 18
+# Bools a reduction may scan, per added column, to keep a reduced column:
+# keeping from the added columns costs a few numpy calls each, about the
+# time of a scan this long.
+_KEEP_SCAN = 1 << 12
 
 
 class FiltrationError(ValueError):
@@ -62,13 +66,16 @@ class PersistenceDiagram:
         self.essential = np.asarray(self.essential, dtype=float).reshape(-1)
         if self.homology_dim not in (0, 1):
             raise ValueError(f"homology dimension must be 0 or 1, got {self.homology_dim}")
-        if not np.all(np.isfinite(self.pairs)):
+        # Array methods, not the np.all/np.any wrappers: every diagram built
+        # pays these checks, and the wrappers cost more than the arithmetic.
+        if not np.isfinite(self.pairs).all():
             raise ValueError("diagram pairs must be finite")
-        if not np.all(np.isfinite(self.essential)):
+        if not np.isfinite(self.essential).all():
             raise ValueError("essential births must be finite")
-        if np.any(self.pairs < 0) or np.any(self.essential < 0):
+        if (self.pairs.size and self.pairs.min() < 0) or (
+                self.essential.size and self.essential.min() < 0):
             raise ValueError("birth/death values must be nonnegative")
-        if self.pairs.size and not np.all(self.pairs[:, 1] > self.pairs[:, 0]):
+        if self.pairs.size and not (self.pairs[:, 1] > self.pairs[:, 0]).all():
             raise ValueError("every finite pair must satisfy death > birth")
 
     def max_finite(self) -> float:
@@ -130,7 +137,7 @@ def _as_cloud(cloud) -> np.ndarray:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("point cloud must be a non-empty 2-D array")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("point cloud contains non-finite coordinates")
     return pts
 
@@ -335,8 +342,9 @@ def normalize_diagram(pd: PersistenceDiagram, scale: float) -> PersistenceDiagra
 
     `scale` must be positive and at least the largest finite coordinate,
     so that the result lives in the unit square. Essential bars become
-    finite pairs (birth / scale, 1.0); pairs left with zero persistence
-    by the cap are dropped.
+    finite pairs (birth / scale, 1.0). Pairs left with zero persistence are
+    dropped: capped bars born at `scale`, and pairs so short that dividing
+    rounds birth and death to one float.
     """
     if not np.isfinite(scale) or scale <= 0:
         raise ValueError(f"normalization scale must be positive, got {scale}")
@@ -348,9 +356,8 @@ def normalize_diagram(pd: PersistenceDiagram, scale: float) -> PersistenceDiagra
     pairs = pd.pairs / scale
     if pd.essential.size:
         capped = np.column_stack([pd.essential / scale, np.ones(pd.essential.size)])
-        capped = capped[capped[:, 1] > capped[:, 0]]
         pairs = np.vstack([pairs, capped])
-    return PersistenceDiagram(pd.homology_dim, pairs, np.empty(0))
+    return PersistenceDiagram(pd.homology_dim, pairs[pairs[:, 1] > pairs[:, 0]], np.empty(0))
 
 
 def diagram_of_cloud(
@@ -388,7 +395,9 @@ def diagram_of_cloud(
     if max_scale is not None:
         _check_scale(max_scale)
         cut = min(max_scale, cut)
-    i, j = np.nonzero(np.triu(births <= cut, 1))
+    i, j = np.nonzero(births <= cut)
+    upper = i < j  # the pairs np.triu would keep, in the same order
+    i, j = i[upper], j[upper]
     w = births[i, j]
     order = np.argsort(w, kind="stable")
     edges = (i[order], j[order], w[order])
@@ -407,26 +416,23 @@ def _h0_by_union_find(n: int, edges_i, edges_j, births):
     filtration ranks of the merging edges.
     """
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
     killed_by: dict[int, int] = {}
     for e, (i, j) in enumerate(zip(edges_i.tolist(), edges_j.tolist())):
-        if len(killed_by) == n - 1:
-            break
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            ri, rj = min(ri, rj), max(ri, rj)
-            parent[rj] = ri
-            killed_by[rj] = e
-    w = births.tolist()
-    pairs = [(0.0, w[e]) for _, e in sorted(killed_by.items()) if w[e] > 0]
-    essential = [0.0 for v in range(n) if parent[v] == v]
-    pd = PersistenceDiagram(0, np.asarray(pairs, dtype=float), np.asarray(essential))
-    return pd, list(killed_by.values())
+        while parent[i] != i:  # find with path halving, inlined: a call costs more
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i != j:
+            i, j = min(i, j), max(i, j)
+            parent[j] = i
+            killed_by[j] = e
+            if len(killed_by) == n - 1:
+                break
+    merges = list(killed_by.values())
+    w = births.take([killed_by[v] for v in sorted(killed_by)])
+    pairs = np.zeros((w.size, 2))
+    pairs[:, 1] = w
+    return PersistenceDiagram(0, pairs[w > 0], np.zeros(n - len(merges))), merges
 
 
 def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDiagram:
@@ -470,6 +476,12 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
     scatter, so one forward scan per column finds pivots. A scan that finds
     the pivot still set means the added column lacked it, a fault in
     building columns, and raises RuntimeError rather than adding forever.
+    A reduced column is kept as the numbers set in `work`, all >= its
+    pivot: one scan of [pivot, m * n) finds them when that range is under
+    `_KEEP_SCAN` bools per column added, which holds for most columns of
+    a small cloud; otherwise they are the still-set keys of the added
+    columns, which costs a few numpy calls per column instead of a scan
+    that could span m * n bytes.
     The working set is those m * n + 3 * n bytes, 4 * n * n bytes of ranks,
     about 40 bytes per edge for pivots, owners and deaths, 8 bytes per
     number of each column kept (see `claimed` for which are), and, if the
@@ -576,15 +588,24 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
         if low == mn:
             continue
         deaths[q], claimed[low] = low, q
-        if added:
-            # Keep each added column's still-set keys, clearing them as they
-            # are kept: faster than sorting the keys or scanning the range.
+        if not added:
+            continue
+        # Keep the reduced column and clear its numbers. No number below `low`
+        # is set and junk lies past the sentinel, so a short range is scanned;
+        # otherwise keys are cleared as they are kept, so that a key in
+        # several added columns is kept once.
+        if mn - low < _KEEP_SCAN * len(added):
+            kept = np.flatnonzero(work[low:mn])
+            kept += low
+            work[kept] = False
+        else:
             work[mn + 1:] = False  # so that no junk number is kept
             kept = []
             for keys in added:
                 kept.append(keys[work[keys]])
                 work[kept[-1]] = False
-            claimed[low] = np.concatenate(kept)
+            kept = np.concatenate(kept)
+        claimed[low] = kept
     del work  # return its m * n bytes before the output is built
 
     born = births[cand]

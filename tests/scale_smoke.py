@@ -13,6 +13,7 @@ one:
     PYTHONPATH=src python3 tests/scale_smoke.py 500 --links --cut 0.25 --expect SHA256
     PYTHONPATH=src python3 tests/scale_smoke.py 800 --links --cut 0.25 --expect SHA256
     PYTHONPATH=src python3 tests/scale_smoke.py 800 --dim 8 --expect SHA256
+    PYTHONPATH=src python3 tests/scale_smoke.py 1500 --expect SHA256
 """
 
 import argparse

@@ -44,6 +44,17 @@ def test_too_short_and_bad_params():
         delay_embed([1.0, np.nan], m=1, tau=1)
 
 
+@pytest.mark.parametrize("m, tau", [(2.5, 1), (2, 1.5), (float("nan"), 1), (2, float("inf"))])
+def test_non_integral_parameters_raise_value_error(m, tau):
+    with pytest.raises(ValueError, match="must be integers"):
+        delay_embed([1.0, 2.0, 3.0, 4.0, 5.0], m=m, tau=tau)
+
+
+def test_integral_float_parameters_embed_as_integers():
+    series = [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert np.array_equal(delay_embed(series, m=2.0, tau=np.int64(2)), delay_embed(series, 2, 2))
+
+
 def test_sine_loop_has_one_dominant_cycle():
     # The embedded sine traces a closed loop; its 1-cycle is born at the
     # sample spacing and survives past any moderate cutoff, while spurious

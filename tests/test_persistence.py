@@ -1,3 +1,4 @@
+import hashlib
 import math
 import threading
 
@@ -219,6 +220,20 @@ def test_normalize_caps_essential():
     assert out.sorted_pairs().tolist() == [[0.0, 0.75], [0.125, 1.0]]
 
 
+def test_normalize_drops_a_pair_the_division_collapses():
+    # One ulp of persistence: divided by the scale, birth and death round to
+    # the same float, and the pair leaves the diagram instead of failing it.
+    pair = [3.650980677685421, 3.6509806776854212]
+    kept = [0.25, 0.5]
+    pd = PersistenceDiagram(1, np.array([kept, pair]), np.array([1.0]))
+    out = normalize_diagram(pd, 10.219440075107812)
+    assert out.pairs.tolist() == [
+        [0.25 / 10.219440075107812, 0.5 / 10.219440075107812],
+        [1.0 / 10.219440075107812, 1.0],
+    ]
+    assert out.essential.size == 0
+
+
 def test_normalize_range_error():
     pd = PersistenceDiagram(0, np.array([[0.0, 3.0]]))
     with pytest.raises(ValueError, match="smaller than"):
@@ -421,6 +436,58 @@ def test_engine_matches_reference_on_a_linked_delay_embedding(tmp_path, monkeypa
         write_diagrams(slow_path, compute_persistence(reference))
         fast = _engine_bytes(monkeypatch, fast_path, points, cut, True)
         assert fast == dict.fromkeys(COLUMN_SOURCES, slow_path.read_bytes())
+
+
+def _benchmark_shaped_clouds():
+    """(cloud, max_scale, temporal_links) shaped like the benchmark's inputs:
+    24 2-D clouds of 25-40 points (one loop, two loops, uniform noise), and
+    12 delay-embedded noisy series of 40-70 points (sines and walks), with
+    and without links, at the default cut and at 0.6 times the diameter."""
+    rng = np.random.default_rng(2026)
+    items = []
+    for k in range(24):
+        n = int(rng.integers(25, 41))
+        if k % 3 == 2:
+            items.append((rng.uniform(-1.0, 1.0, (n, 2)), None, False))
+            continue
+        loops = k % 3 + 1
+        theta = 2 * np.pi * rng.uniform(size=n)
+        radius = (1.0 if loops == 1 else 0.35) * (1.0 + 0.04 * rng.normal(size=n))
+        centre = 1.6 * (np.arange(n) % loops) - 0.8 * (loops - 1)
+        items.append((np.column_stack([centre + radius * np.cos(theta), radius * np.sin(theta)]),
+                      None, False))
+    for k in range(12):
+        t = np.arange(int(rng.integers(40, 71)) + 20)
+        if k % 3 == 2:
+            x, noise = np.cumsum(rng.normal(size=t.size)), 0.3
+        else:
+            x, noise = np.sin(2 * np.pi * t / rng.uniform(18, 30) + rng.uniform(0, 6)), 0.1
+        x = (x - x.mean()) / x.std() + noise * rng.normal(size=t.size)
+        cloud = delay_embed(x, m=3, tau=10)
+        cut = 0.6 * cloud_diameter(cloud) if k // 2 % 2 else None
+        items.append((cloud, cut, k % 2 == 1))
+    return items
+
+
+# The sha256 of the diagram CSVs of `_benchmark_shaped_clouds`, one after
+# another, as the engine wrote them when it kept every reduced column from
+# its added columns.
+BENCHMARK_SHAPED_SHA256 = "2b199ec994fefd400ccbbbe6f04dba86335b5aca643f1037d9fd21d18031c518"
+
+
+@pytest.mark.parametrize("keep_scan", [persistence._KEEP_SCAN, 0, 1 << 62],
+                         ids=["default-keep", "keep-from-columns", "keep-by-scan"])
+@pytest.mark.parametrize("block", [persistence._PIVOT_BLOCK, 0], ids=["table", "rebuild"])
+def test_benchmark_shaped_clouds_keep_their_bytes(tmp_path, monkeypatch, block, keep_scan):
+    # Each source of columns, with each rule for keeping a reduced column:
+    # a scan of its range, or the still-set keys of the columns added.
+    monkeypatch.setattr(persistence, "_PIVOT_BLOCK", block)
+    monkeypatch.setattr(persistence, "_KEEP_SCAN", keep_scan)
+    path, digest = tmp_path / "pd.csv", hashlib.sha256()
+    for cloud, cut, links in _benchmark_shaped_clouds():
+        write_diagrams(path, diagram_of_cloud(cloud, cut, links))
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == BENCHMARK_SHAPED_SHA256
 
 
 @pytest.mark.parametrize("m", range(1, 13))

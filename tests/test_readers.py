@@ -124,3 +124,111 @@ def test_json_readers_skip_bom(tmp_path):
     assert manifest["sigma"] == 0.05
     assert np.array_equal(loaded.variances, model.variances)
     assert np.array_equal(loaded.components[0].values, model.components[0].values)
+
+
+def _read_csv_by_lines(path, header=None, text=0, inf_column=None, empty_ok=False):
+    """`read_csv`'s contract, read a line at a time: the reference its
+    whole-body parse must match, Table for Table and message for message."""
+    linenos, texts, rows = [], [], []
+    width = fields = None
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            if header is not None:
+                line = fh.readline().strip()
+                prefix = header[:-3] if header.endswith(",...") else None
+                if line != header and not (prefix and line.startswith(prefix)):
+                    raise ParseError(f"{path}: expected header {header!r}, got {line!r}")
+                fields = line.split(",")
+                width = len(fields)
+            for lineno, line in enumerate(fh, start=2 if header is not None else 1):
+                line = line.strip()
+                if not line:
+                    continue
+                row = line.split(",")
+                if width is None:
+                    width = len(row)
+                elif len(row) != width:
+                    raise ParseError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
+                try:
+                    rows.append([float(f) for f in row[text:]])
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from None
+                linenos.append(lineno)
+                texts.append(row[:text])
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    if not rows and not empty_ok:
+        raise ParseError(f"{path}: no data rows")
+    values = np.asarray(rows, dtype=float).reshape(len(rows), width - text)
+    bad = ~np.isfinite(values)
+    if inf_column is not None:
+        bad[:, inf_column - text] &= values[:, inf_column - text] != np.inf
+    if bad.any():
+        r = int(np.argmax(bad.any(axis=1)))
+        raise ParseError(f"{path}:{linenos[r]}: non-finite value {values[r][bad[r]][0]}")
+    return (fields, linenos, texts, values.shape, values.tobytes())
+
+
+TOKENS = ["1_0", " 2 ", "+inf", "1e400", "nan", "infinity", "-0", "0x1p3", "", "\x0c3"]
+DIAGRAM = ("dim,birth,death", 1, 2)  # header, text columns, inf column
+
+
+def _reader_corpus():
+    """(name, body, read_csv options): every token in and out of the diagram
+    format's inf column and in a headerless file, line breaks that file
+    iteration does or does not split on, and files with two faults."""
+    diagram = {"header": DIAGRAM[0], "text": DIAGRAM[1], "inf_column": DIAGRAM[2],
+               "empty_ok": True}
+    for k, token in enumerate(TOKENS):
+        yield f"birth-{k}", f"dim,birth,death\n0,0,1\n1,{token},9\n", diagram
+        yield f"death-{k}", f"dim,birth,death\n0,0,1\n1,0.5,{token}\n", diagram
+        yield f"plain-{k}", f"1,2\n{token},4\n", {}
+    breaks = {
+        "lone_cr": "1,2\r3,4\n5,6\n",
+        "formfeed_inside": "1,\x0c2\n3\x0c,4\n\x0c\n5,6\n",
+        "crlf": "1,2\r\n\r\n3,4\r\n",
+        "line_separator": "1,2\u20283,4\n5,6\n",
+        "next_line": "1,2\x853\n4,5\n",
+        "no_final_newline": "1,2\n3,4",
+        "bom_blank_lines": "\ufeff\n\n1,2\n\n",
+    }
+    for name, body in breaks.items():
+        yield name, body, {}
+        yield f"diagram-{name}", "dim,birth,death\n" + body.replace("1,2", "0,0,1"), diagram
+    yield "bad_number_then_ragged", "1,2\n3,x\n5,6,7\n", {}
+    yield "ragged_then_bad_number", "1,2\n3,4,5\nx,6\n", {}
+    yield "bad_number_then_non_finite", "1,2\nnan,4\n5,y\n", {}
+    yield "wrong_header", "dim,birth\n0,0,1\n", diagram
+    yield "header_prefix", "name,a,b\nx,1,2\ny,3,4\n", {"header": "name,...", "text": 1}
+    yield "empty", "", {}
+    yield "header_only", "dim,birth,death\n", diagram
+
+
+@pytest.mark.parametrize("name, body, options", _reader_corpus(),
+                         ids=[c[0] for c in _reader_corpus()])
+def test_read_csv_matches_a_line_at_a_time_reader(tmp_path, name, body, options):
+    path = tmp_path / "in.csv"
+    path.write_bytes(body.encode("utf-8"))
+    try:
+        expected = _read_csv_by_lines(path, **options)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            read_csv(path, **options)
+        assert str(info.value) == str(exc)
+        return
+    got = read_csv(path, **options)
+    assert (got.header, got.linenos, got.text, got.values.shape, got.values.tobytes()) == expected
+
+
+def test_read_csv_reports_an_early_row_fault_before_late_bad_utf8(tmp_path):
+    # A file read a line at a time meets a ragged row before it decodes the
+    # bytes far past it; reading the whole body decodes them first, so the
+    # one-pass parse must give way to the line-at-a-time read.
+    for early in ("1,2\n3\n", "1,2\n3,x\n", ""):
+        path = tmp_path / "in.csv"
+        path.write_bytes(early.encode() + b"5,6\n" * 20000 + b"\xff,1\n")
+        with pytest.raises(ParseError) as info:
+            _read_csv_by_lines(path)
+        with pytest.raises(ParseError) as got:
+            read_csv(path)
+        assert str(got.value) == str(info.value)
