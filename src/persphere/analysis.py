@@ -128,7 +128,8 @@ def knn_classify(dists, train_labels, k: int = 1) -> list:
     """
     Majority vote over the k nearest training items per row of `dists`.
 
-    `dists` has shape (n_test, n_train). The k nearest are those a stable
+    `dists` has shape (n_test, n_train), and k is a whole number in
+    [1, n_train] (2.0 counts as 2). The k nearest are those a stable
     sort of the row puts first, so equal distances go to the lower column.
     Vote ties break by the smallest summed distance within the k nearest,
     then by label sort order. NaN distances are rejected.
@@ -144,6 +145,9 @@ def knn_classify(dists, train_labels, k: int = 1) -> list:
         raise ValueError("label count does not match distance columns")
     if not 1 <= k <= n_train:
         raise ValueError(f"k must be in [1, {n_train}], got {k}")
+    if not float(k).is_integer():
+        raise ValueError(f"k must be an integer, got {k}")
+    k = int(k)
     if np.isnan(dists).any():
         raise ValueError("distances contain NaN")
     # np.argmin returns the first minimum, the item a stable sort puts first.
@@ -168,7 +172,7 @@ def loo_knn_accuracy(matrix: DistanceMatrix, labels, k: int = 1) -> float:
     Leave-one-out k-NN accuracy over a square distance matrix.
 
     Each item is classified by the k nearest of the other n - 1, so k must
-    be in [1, n - 1].
+    be a whole number in [1, n - 1].
     """
     labels = list(labels)
     n = len(labels)

@@ -34,7 +34,8 @@ def read_csv(path, header=None, text=0, inf_column=None, empty_ok=False) -> Tabl
     endings parse, and blank lines are skipped. The first `text` columns of
     each row are kept as strings; the others must be finite reals, except
     that `inf` is allowed in column `inf_column`. A file with no data rows
-    is an error unless `empty_ok`.
+    is an error unless `empty_ok`; without a header, its values then have
+    shape (0, 0).
 
     Every failure raises ParseError starting "path:lineno:" for a row and
     "path:" for the whole file. Returns a Table: the header fields (None
@@ -49,9 +50,10 @@ def read_csv(path, header=None, text=0, inf_column=None, empty_ok=False) -> Tabl
         fields, width, linenos, texts, numbers = _read_rows(path, header, text, whole=False)
     if not linenos and not empty_ok:
         raise ParseError(f"{path}: no data rows")
-    values = np.asarray(numbers, dtype=float).reshape(len(linenos), width - text)
+    columns = 0 if width is None else width - text
+    values = np.asarray(numbers, dtype=float).reshape(len(linenos), columns)
     bad = ~np.isfinite(values)
-    if inf_column is not None:
+    if inf_column is not None and values.size:
         bad[:, inf_column - text] &= values[:, inf_column - text] != np.inf
     if bad.any():
         r = int(np.argmax(bad.any(axis=1)))

@@ -71,14 +71,6 @@ class TangentVector:
         return TangentVector(self.base, self.values * s)
 
 
-def zero_tangent(psi: SqrtDensity) -> TangentVector:
-    return TangentVector(psi, np.zeros_like(psi.grid))
-
-
-def _same_base(psi: SqrtDensity, v: TangentVector) -> bool:
-    return v.base is psi or np.array_equal(v.base.grid, psi.grid)
-
-
 def exp_map(psi: SqrtDensity, v: TangentVector) -> SqrtDensity:
     """
     Follow the great circle from `psi` along `v` for arc length |v|.
@@ -88,7 +80,7 @@ def exp_map(psi: SqrtDensity, v: TangentVector) -> SqrtDensity:
     result as `clamp_mass`. A zero vector returns `psi` unchanged; a step
     that leaves no positive cell raises ValueError.
     """
-    if not _same_base(psi, v):
+    if not (v.base is psi or np.array_equal(v.base.grid, psi.grid)):
         raise ValueError("tangent vector is based at a different density")
     length = v.norm
     if length == 0.0:
@@ -103,8 +95,7 @@ def exp_map(psi: SqrtDensity, v: TangentVector) -> SqrtDensity:
         out = np.where(negative, 0.0, out)
         if not out.any():
             raise ValueError("exp_map step leaves no positive cell after clamping")
-    out = out / grid_norm(out)
-    return SqrtDensity(grid=out, clamp_mass=clamp_mass)
+    return SqrtDensity(grid=out / grid_norm(out), clamp_mass=clamp_mass)
 
 
 def _lift_rows(mu: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -170,71 +161,66 @@ def geodesic(p1: SqrtDensity, p2: SqrtDensity, s: float) -> SqrtDensity:
     return exp_map(p1, log_map(p1, p2).scaled(s))
 
 
-def _check_resolution(densities) -> None:
-    """Raise ValueError for an empty set or mixed grid resolutions."""
-    if not densities:
-        raise ValueError("cannot average an empty set of densities")
-    k = densities[0].grid_size
-    if any(d.grid_size != k for d in densities):
-        raise ValueError("densities have mixed grid resolutions")
-
-
-def _onto_sphere(mean: np.ndarray) -> SqrtDensity:
-    norm = grid_norm(mean)
-    if norm == 0.0:
-        raise ValueError("mean grid is zero; cannot project onto the sphere")
-    return SqrtDensity(grid=mean / norm)
-
-
 def extrinsic_mean(densities) -> SqrtDensity:
     """Cellwise average of the set, rescaled back onto the unit sphere.
 
     The grids are added in order, as the mean of their stack adds them, so
-    the stack is never built.
+    the stack is never built. An empty set, mixed resolutions or a zero
+    average raise ValueError. `pga_features` takes its mean from here.
     """
     densities = list(densities)
-    _check_resolution(densities)
+    if not densities:
+        raise ValueError("cannot average an empty set of densities")
+    if len({d.grid_size for d in densities}) > 1:
+        raise ValueError("densities have mixed grid resolutions")
     total = densities[0].grid.copy()
     for d in densities[1:]:
         total += d.grid
-    return _onto_sphere(total / len(densities))
+    total /= len(densities)
+    norm = grid_norm(total)
+    if norm == 0.0:
+        raise ValueError("mean grid is zero; cannot project onto the sphere")
+    return SqrtDensity(grid=total / norm)
 
 
 @dataclass
 class PgaModel:
     """Mean density with orthonormal principal tangent directions.
 
-    `variances` are nonincreasing and match `components` in length; every
-    component is tangent to `mean` and the components are pairwise
-    orthonormal under the discrete inner product.
+    `components` is one (d, K, K) array (a list of K x K grids is stacked),
+    `variances` d nonincreasing, nonnegative numbers. The components are
+    finite, tangent to `mean`, and orthonormal under the discrete inner
+    product: their d x d Gram matrix is the identity within ORTHONORMAL_TOL.
     """
 
     mean: SqrtDensity
-    components: list[TangentVector]
+    components: np.ndarray
     variances: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
+        self.components = np.asarray(self.components, dtype=float).reshape(-1, *self.mean.grid.shape)
         self.variances = np.asarray(self.variances, dtype=float).reshape(-1)
         if len(self.components) != self.variances.size:
             raise ValueError("component and variance counts differ")
-        if np.any(self.variances < 0):
+        if not np.all(self.variances >= 0):
             raise ValueError("variances must be nonnegative")
         if np.any(np.diff(self.variances) > 0):
             raise ValueError("variances must be nonincreasing")
-        for a, comp in enumerate(self.components):
-            if not _same_base(self.mean, comp):
-                raise ValueError("component is not based at the model mean")
-            for b in range(a, len(self.components)):
-                got = inner(comp.values, self.components[b].values)
-                want = 1.0 if a == b else 0.0
-                if abs(got - want) > ORTHONORMAL_TOL:
-                    raise ValueError(
-                        f"components {a},{b} have inner product {got}, expected {want}"
-                    )
+        rows = self.components.reshape(len(self.components), self.mean.grid.size)
+        if not np.isfinite(rows).all():
+            raise ValueError("components contain non-finite entries")
+        if np.any(np.abs(rows @ self.mean.grid.ravel()) / rows.shape[1] > TANGENCY_TOL):
+            raise ValueError("components are not tangent to the model mean")
+        gram = rows @ rows.T / rows.shape[1]
+        bad = np.argwhere(np.abs(gram - np.eye(len(rows))) > ORTHONORMAL_TOL)
+        if bad.size:
+            a, b = bad[0]
+            raise ValueError(f"components {a},{b} have inner product {gram[a, b]}, "
+                             f"expected {float(a == b)}")
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        return self.components.shape[0]
 
 
 def top_eigenpairs(matrix, k: int):
@@ -275,20 +261,12 @@ def top_eigenpairs(matrix, k: int):
     return values[::-1][:k], vectors[:, ::-1][:, :k]
 
 
-def _canonical_sign(direction: np.ndarray) -> np.ndarray:
-    # A component and its negation span the same geodesic; fix the sign so
-    # that the first cell of largest magnitude is positive.
-    return -direction if direction.flat[np.argmax(np.abs(direction))] < 0 else direction
-
-
-def _complete_direction(mean: SqrtDensity, taken: np.ndarray) -> np.ndarray:
-    # Deterministic unit tangent direction for degenerate (zero-variance)
-    # modes: the first cell indicator at least 1e-6 (Euclidean) from the
-    # span of the mean and the directions already taken (the flat rows of
-    # `taken`), minus its projection on that span. One QR gives the span's
-    # orthonormal basis.
-    k = mean.grid_size
-    span = np.linalg.qr(np.column_stack([mean.grid.ravel(), *taken]))[0]
+def _complete_direction(mu: np.ndarray, taken: np.ndarray) -> np.ndarray:
+    # Deterministic flat unit tangent direction for degenerate (zero-variance)
+    # modes: the first cell indicator at least 1e-6 (Euclidean) from the span
+    # of the flat mean `mu` and the rows of `taken`, minus its projection on
+    # that span. One QR gives the span's orthonormal basis.
+    span = np.linalg.qr(np.column_stack([mu, *taken]))[0]
     # Squared Euclidean distance of every cell indicator from the span. As
     # 1 - |row|^2 it carries rounding of about 1e-16, so a cell already in
     # the span can read a few 1e-16; the threshold sits far above that.
@@ -299,7 +277,14 @@ def _complete_direction(mean: SqrtDensity, taken: np.ndarray) -> np.ndarray:
     cand[far[0]] += 1.0
     # Project once more: the first subtraction leaves rounding in the span.
     cand -= span @ (span.T @ cand)
-    return (cand / grid_norm(cand)).reshape(k, k)
+    return cand / grid_norm(cand)
+
+
+def _coords(components: np.ndarray, rows: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    # The one projection: coordinates a_i <u_i, c_j> of `_lift_rows`' output.
+    coords = rows @ components.reshape(len(components), rows.shape[1]).T
+    coords *= scale[:, None] / rows.shape[1]
+    return coords
 
 
 def pga_features(densities, n_components: int) -> tuple[PgaModel, np.ndarray]:
@@ -316,34 +301,34 @@ def pga_features(densities, n_components: int) -> tuple[PgaModel, np.ndarray]:
     output does not depend on the eigensolver's signs.
 
     The lifts are never formed. The grids are stacked once as rows psi_i
-    (the mean comes from the same stack), and `_lift_rows`, the rule behind
+    after `extrinsic_mean` gives the mean, and `_lift_rows`, the rule behind
     `log_map`, overwrites each row by its projection u_i off the mean and
     returns the scales a_i that make a_i u_i the lift of psi_i. So the
     lifts' Gram matrix is diag(a) (U U^T / K^2) diag(a), centered in O(n^2);
-    the components are one product of centered eigenvector weights with U,
-    and the coordinates one product of U with the components. U U^T is
-    taken from the projections, not as psi psi^T - c c^T, whose difference
-    loses about eight digits on a cluster of densities 1e-4 apart.
+    the components, written straight into the model's (d, K, K) array, are
+    one product of centered eigenvector weights with U, and the coordinates
+    one product of U with the components. U U^T is taken from the
+    projections, not as psi psi^T - c c^T, whose difference loses about
+    eight digits on a cluster of densities 1e-4 apart.
 
-    Returns (model, coords): coords has shape (n, n_components) and holds
-    what `project_coords` gives for each density, within rounding.
+    Returns (model, coords): coords has shape (n, n_components), and
+    `project_coords` is the one-row case of their product.
     """
     densities = list(densities)
     n = len(densities)
     if n < 2:
         raise ValueError("principal geodesic analysis needs at least 2 densities")
-    _check_resolution(densities)
-    grids = np.array([d.grid for d in densities])
-    mean = _onto_sphere(grids.mean(axis=0))
-    k = mean.grid_size
-    cells = k * k
+    mean = extrinsic_mean(densities)
+    cells = mean.grid.size
     # The tangent space at the mean has cells - 1 dimensions.
-    if not 1 <= n_components <= min(n - 1, cells - 1):
-        raise ValueError(
-            f"n_components must be in [1, {min(n - 1, cells - 1)}], got {n_components}"
-        )
+    top = min(n - 1, cells - 1)
+    if not 1 <= n_components <= top:
+        raise ValueError(f"n_components must be in [1, {top}], got {n_components}")
+    if not float(n_components).is_integer():
+        raise ValueError(f"n_components must be an integer, got {n_components}")
+    n_components = int(n_components)
     mu = mean.grid.ravel()
-    tangents = grids.reshape(n, cells)
+    tangents = np.array([d.grid for d in densities]).reshape(n, cells)
     scale = _lift_rows(mu, tangents)
     gram = tangents @ tangents.T
     gram /= cells
@@ -366,24 +351,22 @@ def pga_features(densities, n_components: int) -> tuple[PgaModel, np.ndarray]:
     eigvals, eigvecs = top_eigenpairs(gram, n_components)
     weights = (eigvecs - eigvecs.mean(axis=0)) * scale[:, None]
 
-    components: list[TangentVector] = []
-    directions = np.empty((n_components, cells))
-    variances = []
+    components = np.empty((n_components, *mean.grid.shape))
+    directions = components.reshape(n_components, cells)
+    variances = np.empty(n_components)
     for a, (lam, combo) in enumerate(zip(eigvals.tolist(), weights.T @ tangents)):
         norm = grid_norm(combo)
         if lam > 0 and norm > 1e-12:
-            direction = (combo / norm).reshape(k, k)
+            direction = combo / norm
         else:
             lam = 0.0
-            direction = _complete_direction(mean, directions[:a])
-        direction = _canonical_sign(direction)
-        directions[a] = direction.ravel()
-        variances.append(lam)
-        components.append(TangentVector(mean, direction))
-    model = PgaModel(mean=mean, components=components, variances=np.asarray(variances))
-    coords = tangents @ directions.T
-    coords *= scale[:, None] / cells
-    return model, coords
+            direction = _complete_direction(mu, directions[:a])
+        # A component and its negation span the same geodesic; fix the sign
+        # so that the first cell of largest magnitude is positive.
+        directions[a] = -direction if direction[np.argmax(np.abs(direction))] < 0 else direction
+        variances[a] = lam
+    model = PgaModel(mean=mean, components=components, variances=variances)
+    return model, _coords(components, tangents, scale)
 
 
 def pga(densities, n_components: int) -> PgaModel:
@@ -392,13 +375,24 @@ def pga(densities, n_components: int) -> PgaModel:
 
 
 def project_coords(model: PgaModel, psi: SqrtDensity) -> np.ndarray:
-    """Coordinates of a density in the model: projections of its lift."""
+    """
+    Coordinates of a density in the model: projections of its lift.
+
+    The one-row case of `pga_features`' product: `psi` is lifted through
+    `_lift_rows`, as `log_map` lifts it, and projected on the components.
+
+    >>> from persphere import PersistenceDiagram, kde, sqrt_transform
+    >>> psis = [sqrt_transform(kde(PersistenceDiagram(1, [[b, 0.8]]), 0.1, 8))
+    ...         for b in (0.1, 0.3, 0.5)]
+    >>> model, coords = pga_features(psis, 2)
+    >>> bool(np.abs(project_coords(model, psis[0]) - coords[0]).max() <= 1e-14)
+    True
+    """
     if psi.grid_size != model.mean.grid_size:
         raise ValueError("density resolution does not match the model")
-    lift = log_map(model.mean, psi)
-    return np.asarray(
-        [inner(lift.values, comp.values) for comp in model.components], dtype=float
-    )
+    row = psi.grid.reshape(1, -1).copy()
+    scale = _lift_rows(model.mean.grid.ravel(), row)
+    return _coords(model.components, row, scale)[0]
 
 
 def save_pga_model(model: PgaModel, directory, metadata: dict | None = None) -> None:
@@ -406,14 +400,9 @@ def save_pga_model(model: PgaModel, directory, metadata: dict | None = None) -> 
     os.makedirs(directory, exist_ok=True)
     write_grid(os.path.join(directory, "mean.csv"), model.mean.grid)
     for idx, comp in enumerate(model.components):
-        write_grid(os.path.join(directory, f"component_{idx:03d}.csv"), comp.values)
-    manifest = {
-        "grid_size": model.mean.grid_size,
-        "n_components": model.n_components,
-        "variances": [float(v) for v in model.variances],
-    }
-    if metadata:
-        manifest.update(metadata)
+        write_grid(os.path.join(directory, f"component_{idx:03d}.csv"), comp)
+    manifest = {"grid_size": model.mean.grid_size, "n_components": model.n_components,
+                "variances": model.variances.tolist(), **(metadata or {})}
     write_json(os.path.join(directory, "manifest.json"), manifest)
 
 
@@ -421,11 +410,6 @@ def load_pga_model(directory) -> tuple[PgaModel, dict]:
     """Load a model written by save_pga_model; returns (model, manifest)."""
     manifest = read_json(os.path.join(directory, "manifest.json"))
     mean = SqrtDensity(grid=read_grid(os.path.join(directory, "mean.csv")))
-    components = [
-        TangentVector(mean, read_grid(os.path.join(directory, f"component_{idx:03d}.csv")))
-        for idx in range(int(manifest["n_components"]))
-    ]
-    model = PgaModel(
-        mean=mean, components=components, variances=np.asarray(manifest["variances"])
-    )
-    return model, manifest
+    components = [read_grid(os.path.join(directory, f"component_{idx:03d}.csv"))
+                  for idx in range(int(manifest["n_components"]))]
+    return PgaModel(mean, components, manifest["variances"]), manifest

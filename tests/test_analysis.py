@@ -196,6 +196,15 @@ def test_knn_basics_and_ties():
         knn_classify(dists, [], k=1)
 
 
+def test_knn_takes_whole_number_k_only():
+    labels = ["a", "b", "a", "b"]
+    dists = np.array([[0.1, 0.2, 0.3, 0.5], [0.5, 0.0, 0.9, 0.4]])
+    for k in (1, 2, 4):
+        assert knn_classify(dists, labels, k=float(k)) == knn_classify(dists, labels, k=k)
+    with pytest.raises(ValueError, match="k must be an integer, got 2.5"):
+        knn_classify(dists, labels, k=2.5)
+
+
 def test_knn_on_training_rows_is_perfect():
     # k=1 with self-matches allowed: every row's nearest item is itself.
     rng = np.random.default_rng(14)
@@ -255,6 +264,15 @@ def test_loo_knn_excludes_the_held_out_item():
     assert loo_knn_accuracy(dm, labels, k=2) == pytest.approx(2 / 3)
 
 
+def test_loo_knn_takes_whole_number_k_only():
+    values = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
+    dm = DistanceMatrix(["p", "q", "r"], values, "hilbert")
+    labels = ["x", "x", "y"]
+    assert loo_knn_accuracy(dm, labels, k=2.0) == loo_knn_accuracy(dm, labels, k=2)
+    with pytest.raises(ValueError, match="k must be an integer, got 1.5"):
+        loo_knn_accuracy(dm, labels, k=1.5)
+
+
 def test_pga_features_consistency():
     rng = np.random.default_rng(7)
     psis = [
@@ -263,7 +281,7 @@ def test_pga_features_consistency():
     ]
     model, coords = pga_features(psis, 2)
     for i, psi in enumerate(psis):
-        assert np.allclose(coords[i], project_coords(model, psi), atol=1e-12)
+        assert np.abs(coords[i] - project_coords(model, psi)).max() <= 1e-14
 
 
 def test_loo_regression_exact_linear():

@@ -123,7 +123,7 @@ def test_json_readers_skip_bom(tmp_path):
     loaded, manifest = load_pga_model(tmp_path / "model")
     assert manifest["sigma"] == 0.05
     assert np.array_equal(loaded.variances, model.variances)
-    assert np.array_equal(loaded.components[0].values, model.components[0].values)
+    assert np.array_equal(loaded.components, model.components)
 
 
 def _read_csv_by_lines(path, header=None, text=0, inf_column=None, empty_ok=False):
@@ -159,9 +159,10 @@ def _read_csv_by_lines(path, header=None, text=0, inf_column=None, empty_ok=Fals
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if not rows and not empty_ok:
         raise ParseError(f"{path}: no data rows")
-    values = np.asarray(rows, dtype=float).reshape(len(rows), width - text)
+    columns = 0 if width is None else width - text
+    values = np.asarray(rows, dtype=float).reshape(len(rows), columns)
     bad = ~np.isfinite(values)
-    if inf_column is not None:
+    if inf_column is not None and values.size:
         bad[:, inf_column - text] &= values[:, inf_column - text] != np.inf
     if bad.any():
         r = int(np.argmax(bad.any(axis=1)))
@@ -218,6 +219,22 @@ def test_read_csv_matches_a_line_at_a_time_reader(tmp_path, name, body, options)
         return
     got = read_csv(path, **options)
     assert (got.header, got.linenos, got.text, got.values.shape, got.values.tobytes()) == expected
+
+
+@pytest.mark.parametrize("body", [b"", b"\n \r\n\n", b"\xef\xbb\xbf"],
+                         ids=["empty", "blank_lines", "bom_only"])
+@pytest.mark.parametrize("text", [0, 1])
+def test_read_csv_empty_ok_headerless_file_gives_an_empty_table(tmp_path, body, text):
+    # No header and no row leave no column count: the values are (0, 0).
+    path = tmp_path / "in.csv"
+    path.write_bytes(body)
+    for inf_column in (None, 1):
+        got = read_csv(path, text=text, inf_column=inf_column, empty_ok=True)
+        assert (got.header, got.linenos, got.text, got.values.shape) == (None, [], [], (0, 0))
+        assert _read_csv_by_lines(path, text=text, inf_column=inf_column, empty_ok=True) == (
+            None, [], [], (0, 0), b"")
+    with pytest.raises(ParseError, match="no data rows"):
+        read_csv(path, text=text)
 
 
 def test_read_csv_reports_an_early_row_fault_before_late_bad_utf8(tmp_path):

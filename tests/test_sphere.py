@@ -23,7 +23,6 @@ from persphere.sphere import (
     grid_norm,
     save_pga_model,
     top_eigenpairs,
-    zero_tangent,
 )
 
 K = 64
@@ -103,7 +102,7 @@ def test_distance_is_a_metric_on_samples():
 
 def test_exp_zero_vector_returns_base():
     psi = _psi([[0.2, 0.5]])
-    assert exp_map(psi, zero_tangent(psi)) is psi
+    assert exp_map(psi, TangentVector(psi, np.zeros_like(psi.grid))) is psi
 
 
 def test_exp_log_roundtrip():
@@ -322,7 +321,7 @@ def _pga_by_lifts(densities, n_components):
 
 
 def _flat_components(model):
-    return np.stack([comp.values.ravel() for comp in model.components])
+    return model.components.reshape(model.n_components, -1)
 
 
 def _assert_orthonormal(model, tol):
@@ -341,6 +340,12 @@ def _tight_cluster(seed, count, spread):
         grid = base * (1.0 + spread * rng.standard_normal(base.shape))
         out.append(SqrtDensity(grid=grid / grid_norm(grid)))
     return out
+
+
+def _concentrated_pair():
+    # At K = 16 a one-point KDE of sigma 0.05 sits in a few cells.
+    return [sqrt_transform(kde(PersistenceDiagram(1, np.array([p])), 0.05, 16))
+            for p in ([0.3, 0.7], [0.2, 0.5])]
 
 
 def test_pga_matches_the_explicit_lift_fit_on_a_random_set():
@@ -381,18 +386,17 @@ def test_pga_of_a_geodesic_family_matches_the_explicit_lift_fit():
     values, directions, want_coords = _pga_by_lifts(family, 3)
     assert abs(model.variances[0] - values[0]) <= 1e-12 * values[0]
     assert np.all(model.variances[1:] < 1e-10)
-    assert np.abs(model.components[0].values.ravel() - directions[0]).max() <= 1e-10
+    assert np.abs(model.components[0].ravel() - directions[0]).max() <= 1e-10
     assert np.abs(coords[:, 0] - want_coords[:, 0]).max() <= 1e-12
     _assert_orthonormal(model, 1e-12)
 
 
 def test_pga_of_concentrated_densities_matches_the_explicit_lift_fit():
-    a, b = (sqrt_transform(kde(PersistenceDiagram(1, np.array([p])), 0.05, 16))
-            for p in ([0.3, 0.7], [0.2, 0.5]))
+    a, b = _concentrated_pair()
     model, coords = pga_features([a, b, a, b], 3)
     values, directions, want_coords = _pga_by_lifts([a, b, a, b], 3)
     assert abs(model.variances[0] - values[0]) <= 1e-12 * values[0]
-    assert np.abs(model.components[0].values.ravel() - directions[0]).max() <= 1e-12
+    assert np.abs(model.components[0].ravel() - directions[0]).max() <= 1e-12
     assert np.abs(coords[:, 0] - want_coords[:, 0]).max() <= 1e-12
 
 
@@ -421,20 +425,18 @@ def test_pga_identical_set_all_zero_variance():
     psi = _psi([[0.4, 0.7]])
     model = pga([psi, psi, psi], 2)
     assert np.allclose(model.variances, 0.0)
-    assert len(model.components) == 2
+    assert model.components.shape == (2, K, K)
     for comp in model.components:
-        assert comp.norm == pytest.approx(1.0, abs=1e-9)
+        assert grid_norm(comp) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_pga_completes_directions_of_concentrated_densities():
     # At K = 16 a one-point KDE of sigma 0.05 sits in a few cells, so cell
     # indicators lie in the span up to rounding and must not be taken.
-    a, b = (sqrt_transform(kde(PersistenceDiagram(1, np.array([p])), 0.05, 16))
-            for p in ([0.3, 0.7], [0.2, 0.5]))
+    a, b = _concentrated_pair()
     model, coords = pga_features([a, b, a, b], 3)
     assert model.variances[0] > 0 and model.variances[1:].tolist() == [0.0, 0.0]
-    flat = np.stack([comp.values.ravel() for comp in model.components])
-    assert np.allclose(flat @ flat.T / 256, np.eye(3), atol=1e-12)
+    _assert_orthonormal(model, 1e-12)
     assert np.allclose(coords[:, 1:], 0.0, atol=1e-12)
 
 
@@ -467,7 +469,7 @@ def test_pga_reconstruction_improves_with_components():
         total = 0.0
         for p in family:
             coords = project_coords(model, p)
-            combo = sum(c * comp.values for c, comp in zip(coords, model.components))
+            combo = np.tensordot(coords, model.components, 1)
             approx = exp_map(model.mean, TangentVector(model.mean, combo))
             total += distance(approx, p)
         errors.append(total / len(family))
@@ -505,16 +507,54 @@ def test_project_coords_properties():
         assert np.linalg.norm(c) <= distance(model.mean, p) + 1e-9
 
 
+@pytest.mark.parametrize("case", ["random", "completed"])
+def test_project_coords_is_the_one_row_case_of_pga_features(case):
+    # The completed case has two zero-variance directions from
+    # `_complete_direction`.
+    if case == "random":
+        psis, d = _random_psis(25, 12), 4
+    else:
+        a, b = _concentrated_pair()
+        psis, d = [a, b, a, b], 3
+    model, coords = pga_features(psis, d)
+    assert (model.variances[1:].tolist() == [0.0, 0.0]) == (case == "completed")
+    got = np.stack([project_coords(model, p) for p in psis])
+    assert np.abs(got - coords).max() <= 1e-14
+
+
+def test_pga_takes_whole_number_component_counts_only():
+    psis = _random_psis(26, 5)
+    model, coords = pga_features(psis, 2)
+    same, same_coords = pga_features(psis, 2.0)
+    assert same.n_components == 2 and isinstance(same.n_components, int)
+    assert np.array_equal(same.components, model.components)
+    assert np.array_equal(same_coords, coords)
+    for call in (pga_features, pga):
+        with pytest.raises(ValueError, match="n_components must be an integer, got 2.5"):
+            call(psis, 2.5)
+
+
 def test_pga_model_validation():
     psis = _random_psis(16, 4)
     model = pga(psis, 2)
-    with pytest.raises(ValueError):
-        PgaModel(model.mean, model.components, np.array([0.1]))
-    with pytest.raises(ValueError):
-        PgaModel(model.mean, model.components, np.array([0.1, 0.5]))
-    doubled = [model.components[0], model.components[0]]
-    with pytest.raises(ValueError):
-        PgaModel(model.mean, doubled, np.array([0.2, 0.1]))
+    comps, mean = model.components, model.mean
+    assert PgaModel(mean, list(comps), [0.2, 0.1]).components.shape == (2, K, K)
+    with pytest.raises(ValueError, match="component and variance counts differ"):
+        PgaModel(mean, comps, np.array([0.1]))
+    for variances in ([0.1, -0.1], [np.nan, np.nan]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            PgaModel(mean, comps, variances)
+    with pytest.raises(ValueError, match="nonincreasing"):
+        PgaModel(mean, comps, np.array([0.1, 0.5]))
+    with pytest.raises(ValueError, match="non-finite"):
+        PgaModel(mean, np.where(np.arange(K) == 3, np.nan, comps), [0.2, 0.1])
+    # The mean itself is a unit row along the mean: not tangent.
+    with pytest.raises(ValueError, match="not tangent to the model mean"):
+        PgaModel(mean, [comps[0], mean.grid], [0.2, 0.1])
+    with pytest.raises(ValueError, match=r"^components 0,1 have inner product \S+, expected 0\.0$"):
+        PgaModel(mean, comps[[0, 0]], np.array([0.2, 0.1]))
+    with pytest.raises(ValueError, match=r"^components 1,1 have inner product \S+, expected 1\.0$"):
+        PgaModel(mean, [comps[0], 2 * comps[1]], [0.2, 0.1])
 
 
 def test_pga_model_io(tmp_path):
@@ -524,10 +564,9 @@ def test_pga_model_io(tmp_path):
     back, manifest = load_pga_model(tmp_path / "model")
     assert manifest["sigma"] == 0.05
     assert manifest["grid_size"] == K
-    assert np.abs(back.mean.grid - model.mean.grid).max() < 1e-15
-    for a, b in zip(back.components, model.components):
-        assert np.abs(a.values - b.values).max() < 1e-15
-    assert np.allclose(back.variances, model.variances)
+    assert np.array_equal(back.mean.grid, model.mean.grid)
+    assert np.array_equal(back.components, model.components)
+    assert np.array_equal(back.variances, model.variances)
 
 
 def _seeded_gram(seed, spectrum):
@@ -612,9 +651,7 @@ def test_pga_is_deterministic_with_canonical_signs():
     finally:
         np.random.set_state(state)
     assert np.array_equal(first.variances, second.variances)
-    for a, b in zip(first.components, second.components):
-        assert np.array_equal(a.values, b.values)
+    assert np.array_equal(first.components, second.components)
     degenerate = pga([psis[0]] * 3, 2)
-    for comp in first.components + degenerate.components:
-        flat = comp.values.ravel()
+    for flat in (*_flat_components(first), *_flat_components(degenerate)):
         assert flat[np.argmax(np.abs(flat))] > 0

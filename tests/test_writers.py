@@ -10,7 +10,7 @@ from persphere.density import SqrtDensity, write_grid
 from persphere.embedding import write_cloud
 from persphere.errors import ParseError, read_csv
 from persphere.persistence import PersistenceDiagram, write_diagrams
-from persphere.sphere import PgaModel, TangentVector, load_pga_model, save_pga_model
+from persphere.sphere import PgaModel, load_pga_model, save_pga_model
 
 
 def test_grid_cloud_matrix_diagram_bytes(tmp_path):
@@ -32,8 +32,7 @@ def test_grid_cloud_matrix_diagram_bytes(tmp_path):
 
 def test_pga_model_manifest_bytes(tmp_path):
     mean = SqrtDensity(grid=np.ones((2, 2)))
-    comp = TangentVector(mean, np.array([[1.0, -1.0], [-1.0, 1.0]]))
-    model = PgaModel(mean=mean, components=[comp], variances=[0.25])
+    model = PgaModel(mean=mean, components=[[[1.0, -1.0], [-1.0, 1.0]]], variances=[0.25])
     save_pga_model(model, tmp_path, metadata={"scale": 0.5})
     assert (tmp_path / "manifest.json").read_bytes() == (
         b'{\n  "grid_size": 2,\n  "n_components": 1,\n  "scale": 0.5,\n'
