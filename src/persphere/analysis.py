@@ -9,7 +9,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .density import PersistencePdf, kde, sqrt_stack
-from .errors import ParseError, read_csv, read_json, write_csv, write_json
+from .errors import ParseError, read_csv, read_json, whole_number, write_csv, write_json
 from .persistence import PersistenceDiagram, diagram_of_cloud
 from .wasserstein import pair_distances, wasserstein
 
@@ -145,9 +145,7 @@ def knn_classify(dists, train_labels, k: int = 1) -> list:
         raise ValueError("label count does not match distance columns")
     if not 1 <= k <= n_train:
         raise ValueError(f"k must be in [1, {n_train}], got {k}")
-    if not float(k).is_integer():
-        raise ValueError(f"k must be an integer, got {k}")
-    k = int(k)
+    k = whole_number("k", k)
     if np.isnan(dists).any():
         raise ValueError("distances contain NaN")
     # np.argmin returns the first minimum, the item a stable sort puts first.
@@ -287,11 +285,14 @@ def benchmark(
     density per diagram in any realistic pipeline), then times the batched
     inner-product-plus-arccos over all pairs; per-pair cost is the batch
     time divided by the pair count, with mean and std over `repeats` runs.
+    Counts are whole numbers (2.0 counts as 2).
     """
     if trials < 10:
         raise ValueError(f"need at least 10 trials, got {trials}")
     if repeats < 2:
         raise ValueError(f"need at least 2 repeats, got {repeats}")
+    n_points, grid_size = whole_number("n_points", n_points), whole_number("grid_size", grid_size)
+    trials, repeats = whole_number("trials", trials), whole_number("repeats", repeats)
 
     rng = np.random.default_rng(seed)
     xs = [random_diagram(rng, n_points) for _ in range(trials)]
@@ -373,7 +374,8 @@ def synthetic_clouds(
     loops (two 1-cycles), and uniform noise (only short-lived 1-cycles).
     Every cloud is drawn until its H1 diagram is non-empty so the density
     pipeline never sees an empty diagram; the redraw sequence is part of
-    the seeded stream, so outputs are reproducible.
+    the seeded stream, so outputs are reproducible. Counts are whole
+    numbers (2.0 counts as 2).
 
     Returns (clouds, labels).
     """
@@ -383,6 +385,8 @@ def synthetic_clouds(
         raise ValueError("per_class must be >= 1")
     if not 3 <= n_min <= n_max:
         raise ValueError("need 3 <= n_min <= n_max")
+    per_class, n_classes = whole_number("per_class", per_class), whole_number("n_classes", n_classes)
+    n_min, n_max = whole_number("n_min", n_min), whole_number("n_max", n_max)
     rng = np.random.default_rng(seed)
     clouds, labels = [], []
     for label in CLASS_LABELS[:n_classes]:

@@ -1,5 +1,6 @@
-"""Exception types shared across the file-format readers, and the one CSV
-and JSON reader and writer every file format goes through."""
+"""Exception types shared across the file-format readers, the one CSV and
+JSON reader and writer every file format goes through, and the one check
+that a count argument is a whole number."""
 
 from __future__ import annotations
 
@@ -160,3 +161,11 @@ def read_json(path):
             return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from None
+
+
+def whole_number(name: str, count) -> int:
+    """`count` as an int: a whole-number float counts, 2.0 as 2; anything
+    else raises ValueError naming `name`."""
+    if not float(count).is_integer():
+        raise ValueError(f"{name} must be an integer, got {count}")
+    return int(count)

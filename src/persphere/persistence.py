@@ -66,6 +66,7 @@ class PersistenceDiagram:
         self.essential = np.asarray(self.essential, dtype=float).reshape(-1)
         if self.homology_dim not in (0, 1):
             raise ValueError(f"homology dimension must be 0 or 1, got {self.homology_dim}")
+        self.homology_dim = int(self.homology_dim)  # so 1.0 or True is written as 1
         # Array methods, not the np.all/np.any wrappers: every diagram built
         # pays these checks, and the wrappers cost more than the arithmetic.
         if not np.isfinite(self.pairs).all():
@@ -380,7 +381,7 @@ def diagram_of_cloud(
     call holds an m·n-byte working column plus the columns its reduction
     keeps, and, when its c candidate columns fit one pivot block (c·n <=
     2^18), all of them as c·n int64 numbers, at most 2 MB; otherwise it
-    rebuilds each column when needed. `_h0_by_union_find` and
+    builds each column its reduction meets, once. `_h0_by_union_find` and
     `_h1_by_cohomology` describe the engine.
 
     >>> pd0, pd1 = diagram_of_cloud([[0, 0], [1, 0], [1, 1], [0, 1]])
@@ -463,15 +464,16 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
     When every candidate fits one block of the pass (candidates * n <=
     `_PIVOT_BLOCK`), the pass builds every candidate's whole coboundary,
     one row each, and the reduction reads columns from those rows; larger
-    clouds rebuild a column each time the reduction needs it, and keep
-    those met again (see `claimed`).
+    clouds build a column when the reduction first needs it. Either way a
+    plain column is stored the first time a reduction meets it (see
+    `claimed`).
 
     Ranks and endpoints are int32, triangle numbers int64: as scatter
     indices into `work`, int32 numbers would be converted on every
     addition. Rows of `rank` and entries of `first` are gathered with
     `take`, which is faster than fancy indexing. The working column is `work`:
     one bool per number, plus a sentinel at m * n, always set, that marks a
-    zero column, plus 3 * n junk bools past it where a coboundary puts its
+    zero column, plus 3 * n junk bools past it where a table row puts its
     missing triangles. An addition toggles numbers >= the pivot in one
     scatter, so one forward scan per column finds pivots. A scan that finds
     the pivot still set means the added column lacked it, a fault in
@@ -484,9 +486,9 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
     that could span m * n bytes.
     The working set is those m * n + 3 * n bytes, 4 * n * n bytes of ranks,
     about 40 bytes per edge for pivots, owners and deaths, 8 bytes per
-    number of each column kept (see `claimed` for which are), and, if the
-    candidates fit one block, their 8 * candidates * n bytes of rows, at
-    most 2 MB.
+    number of each reduced column kept and of each built column met, and,
+    if the candidates fit one block, their 8 * candidates * n bytes of
+    rows, at most 2 MB.
     """
     m = births.size
     mn = m * n
@@ -504,7 +506,6 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
     # non-candidate and equals no number. A coboundary's pivot is its
     # smallest number, m * n if it has no coface.
     pivots = np.full(cand.size + 1, -1, dtype=np.int64)
-    table = None
     if cand.size * n <= _PIVOT_BLOCK:
         # One block: build every candidate's coboundary once, a row each.
         late = np.maximum(rank.take(ci, axis=0), rank.take(cj, axis=0))
@@ -519,14 +520,14 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
     else:
         def column(q):
             """The coboundary of candidate q, unsorted, its smallest number
-            the pivot; numbers past m * n stand for missing triangles."""
+            the pivot, without the numbers past m * n of missing triangles."""
             a, b = ci.item(q), cj.item(q)
             late = np.maximum(rank[a], rank[b])
             np.maximum(late, cand.item(q), out=late)
             keys = first.take(late)
             keys += verts
             keys += a + b
-            return keys
+            return keys[keys < mn]
 
         step = max(1, _PIVOT_BLOCK // n)
         for s in range(0, cand.size, step):
@@ -543,18 +544,13 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
     apparent = pivots[:-1] // n == cand
     deaths = np.full(cand.size, mn)  # pivot numbers; m * n if essential
     deaths[apparent] = pivots[:-1][apparent]
-    # A claimed pivot maps to its candidate while the column is still the
-    # plain coboundary, and to the column's numbers below m * n once they are
-    # kept; an apparent pivot is found through its latest edge until then.
-    # Where columns are rebuilt, masking a plain column to keep it costs
-    # about a third of rebuilding it, and most plain columns are met once;
-    # so a column is kept when it is met again, or at once after more than a
-    # quarter of those met so far were met again, as in sparse linked
-    # clouds (a quarter, not a third: the pivots met last have had little
-    # time to be met again). A table row costs nothing to fetch, so the
-    # table side keeps only reduced columns.
+    # A claimed pivot maps to its candidate until a reduction meets its
+    # plain coboundary, and then to that column, as it maps to a reduced
+    # column's kept numbers; an apparent pivot is found through its latest
+    # edge until it is met. A table row also holds numbers past m * n; they
+    # toggle only junk bools, which the keep step clears before it reads
+    # added columns.
     claimed: dict[int, object] = {}
-    seen, again = set(), 0  # plain pivots met and not kept; how many were met again
     work = np.zeros(mn + 3 * n, dtype=bool)  # the working column, one parity per number
     work[mn] = True  # sentinel: a column whose pivot reaches it is zero
     loop = np.flatnonzero(~apparent & (pivots[:-1] < mn))[::-1]
@@ -567,14 +563,7 @@ def _h1_by_cohomology(n: int, edges_i, edges_j, births, merges) -> PersistenceDi
                 if pivots.item(other) != low:
                     break
             if isinstance(other, int):
-                other = column(other)
-                if table is None:
-                    if low in seen:
-                        again += 1
-                    if low in seen or 4 * again > len(seen):
-                        other = claimed[low] = other[other < mn]
-                    else:
-                        seen.add(low)
+                other = claimed[low] = column(other)
             if not added:
                 added.append(column(q))
                 work[added[0]] = True

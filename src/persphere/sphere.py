@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import SqrtDensity, read_grid, write_grid
-from .errors import read_json, write_json
+from .errors import read_json, whole_number, write_json
 
 TANGENCY_TOL = 1e-8
 ORTHONORMAL_TOL = 1e-8
@@ -235,8 +235,9 @@ def top_eigenpairs(matrix, k: int):
     It stops once every kept pair has residual |A x - lam x| <= EIG_TOL
     times the largest Ritz value in magnitude. A block as wide as the matrix
     is exact after one step. If EIG_MAX_ITER steps do not get there, the
-    result comes from a full `np.linalg.eigh`. Returns (values, vectors):
-    values nonincreasing, vectors as orthonormal columns, signs arbitrary.
+    result comes from a full `np.linalg.eigh`. k is a whole number (2.0
+    counts as 2). Returns (values, vectors): values nonincreasing, vectors
+    as orthonormal columns, signs arbitrary.
     """
     a = np.asarray(matrix, dtype=float)
     n = a.shape[0]
@@ -244,6 +245,7 @@ def top_eigenpairs(matrix, k: int):
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
+    k = whole_number("k", k)
     start = np.random.default_rng(0).standard_normal((n, min(n, 2 * k + 8)))
     basis = np.linalg.qr(start)[0]
     for _ in range(EIG_MAX_ITER):
@@ -324,9 +326,7 @@ def pga_features(densities, n_components: int) -> tuple[PgaModel, np.ndarray]:
     top = min(n - 1, cells - 1)
     if not 1 <= n_components <= top:
         raise ValueError(f"n_components must be in [1, {top}], got {n_components}")
-    if not float(n_components).is_integer():
-        raise ValueError(f"n_components must be an integer, got {n_components}")
-    n_components = int(n_components)
+    n_components = whole_number("n_components", n_components)
     mu = mean.grid.ravel()
     tangents = np.array([d.grid for d in densities]).reshape(n, cells)
     scale = _lift_rows(mu, tangents)

@@ -352,6 +352,29 @@ def test_benchmark_report_fields_and_io(tmp_path):
         benchmark(n_points=10, trials=5)
 
 
+def test_benchmark_takes_whole_number_counts_only():
+    report = benchmark(n_points=5.0, grid_size=16.0, trials=10.0, repeats=2.0)
+    assert (report.n_points, report.grid_size, report.pairs) == (5, 16, 10)
+    assert type(report.n_points) is int and type(report.grid_size) is int
+    for name in ("n_points", "grid_size", "trials", "repeats"):
+        counts = {"n_points": 5, "grid_size": 16, "trials": 10, "repeats": 2}
+        counts[name] += 0.5
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got"):
+            benchmark(**counts)
+
+
+def test_synthetic_clouds_take_whole_number_counts_only():
+    clouds, labels = synthetic_clouds(per_class=2.0, n_classes=1.0, n_min=20.0, n_max=22.0, seed=4)
+    want_clouds, want_labels = synthetic_clouds(per_class=2, n_classes=1, n_min=20, n_max=22, seed=4)
+    assert labels == want_labels
+    assert all(np.array_equal(x, y) for x, y in zip(clouds, want_clouds, strict=True))
+    for name in ("per_class", "n_classes", "n_min", "n_max"):
+        counts = {"per_class": 1, "n_classes": 1, "n_min": 20, "n_max": 22}
+        counts[name] += 0.5
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got"):
+            synthetic_clouds(**counts)
+
+
 def test_synthetic_clouds_reproducible_and_labeled():
     clouds_a, labels_a = synthetic_clouds(per_class=3, seed=12)
     clouds_b, labels_b = synthetic_clouds(per_class=3, seed=12)

@@ -416,13 +416,18 @@ def test_engine_matches_reference_reduction_bytes(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n, fraction", [(100, None), (60, None), (60, 0.6)], ids=["100", "60", "60-cut"]
+    "n, fraction, of",
+    [(100, None, None), (60, None, None), (60, 0.6, "diameter"), (200, 0.25, "radius")],
+    ids=["100", "60", "60-cut", "200-sparse"],
 )
-def test_engine_matches_reference_on_a_linked_delay_embedding(tmp_path, monkeypatch, n, fraction):
+def test_engine_matches_reference_on_a_linked_delay_embedding(tmp_path, monkeypatch, n, fraction, of):
     # A delay-embedded noisy sine with temporal links, the pipeline's own
     # kind of input, at a size where reduced columns collide often, and at
     # the series workload's size, also cut at 0.6 times the diameter as it
-    # cuts some of its clouds; the rounded copy adds tied edge births.
+    # cuts some of its clouds; the rounded copy adds tied edge births. Cut
+    # at 0.25 times the enclosing radius without links, as CI's sparse
+    # scale smoke cuts, the cloud is sparse: its reductions meet the same
+    # plain columns again and again, thousands of times.
     rng = np.random.default_rng(89)
     t = np.arange(n + 20)
     series = np.sin(2 * np.pi * t / 25) + 0.1 * rng.normal(size=t.size)
@@ -431,7 +436,8 @@ def test_engine_matches_reference_on_a_linked_delay_embedding(tmp_path, monkeypa
     fast_path, slow_path = tmp_path / "fast.csv", tmp_path / "slow.csv"
     for points in (cloud, np.round(cloud, 1)):
         diameter = cloud_diameter(points)
-        cut = None if fraction is None else fraction * diameter
+        scale = {"diameter": diameter, "radius": _births(points, False).max(axis=1).min()}
+        cut = None if fraction is None else fraction * float(scale[of])
         reference = build_rips(points, diameter if cut is None else cut, True)
         write_diagrams(slow_path, compute_persistence(reference))
         fast = _engine_bytes(monkeypatch, fast_path, points, cut, True)

@@ -638,6 +638,15 @@ def test_top_eigenpairs_guards():
             top_eigenpairs(np.eye(3), k)
 
 
+def test_top_eigenpairs_takes_whole_number_k_only():
+    gram = np.diag([5.0, 4.0, 3.0, 2.0, 1.0])
+    values, vectors = top_eigenpairs(gram, 2.0)
+    want_values, want_vectors = top_eigenpairs(gram, 2)
+    assert np.array_equal(values, want_values) and np.array_equal(vectors, want_vectors)
+    with pytest.raises(ValueError, match="k must be an integer, got 2.5"):
+        top_eigenpairs(gram, 2.5)
+
+
 def test_pga_is_deterministic_with_canonical_signs():
     # 30 densities and 3 components: wider than the solver's block of 14,
     # so the iterative path runs, not the one-step exact one.

@@ -9,7 +9,7 @@ from persphere.analysis import DistanceMatrix, write_matrix
 from persphere.density import SqrtDensity, write_grid
 from persphere.embedding import write_cloud
 from persphere.errors import ParseError, read_csv
-from persphere.persistence import PersistenceDiagram, write_diagrams
+from persphere.persistence import PersistenceDiagram, read_diagrams, write_diagrams
 from persphere.sphere import PgaModel, load_pga_model, save_pga_model
 
 
@@ -28,6 +28,20 @@ def test_grid_cloud_matrix_diagram_bytes(tmp_path):
     )
     write_diagrams(path, [PersistenceDiagram(1, np.empty((0, 2)))])
     assert path.read_bytes() == b"dim,birth,death\n"
+
+
+@pytest.mark.parametrize("dim", [1.0, True, np.int64(1), np.float64(0.0)],
+                         ids=["float", "bool", "int64", "float64"])
+def test_diagram_dimension_reads_back_as_an_int(tmp_path, dim):
+    # A dimension equal to 0 or 1 is stored as that int, so the CSV's dim
+    # column reads "0" or "1", which the reader accepts.
+    path = tmp_path / "pd.csv"
+    write_diagrams(path, [PersistenceDiagram(dim, [[0.1, 0.3]], [0.2])])
+    (back,) = read_diagrams(path).values()
+    assert type(back.homology_dim) is int and back.homology_dim == dim
+    assert np.array_equal(back.pairs, [[0.1, 0.3]]) and np.array_equal(back.essential, [0.2])
+    with pytest.raises(ValueError, match="homology dimension must be 0 or 1, got 0.5"):
+        PersistenceDiagram(0.5, [[0.1, 0.3]])
 
 
 def test_pga_model_manifest_bytes(tmp_path):
